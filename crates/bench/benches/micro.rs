@@ -4,12 +4,13 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use semlock::manager::SemLock;
+use semlock::mech::MechLayout;
 use semlock::mode::ModeTable;
 use semlock::phi::Phi;
 use semlock::symbolic::{Operation, SymArg, SymOp, SymbolicSet};
 use semlock::txn::Txn;
 use semlock::value::Value;
-use semlock::{AcquireSpec, AdmissionBackend, WaitStrategy};
+use semlock::{AcquireSpec, WaitStrategy};
 use std::sync::Arc;
 
 fn cia_table(n: u16) -> (Arc<ModeTable>, semlock::mode::LockSiteId) {
@@ -36,8 +37,7 @@ fn bench_lock_uncontended(c: &mut Criterion) {
     // The packed-vs-wide admission A/B: identical call shape, counter
     // representation forced either way. The packed path is a single CAS;
     // the wide path round-trips the internal mutex.
-    let packed =
-        SemLock::with_backend(table.clone(), WaitStrategy::Block, AdmissionBackend::Packed);
+    let packed = SemLock::with_layout(table.clone(), WaitStrategy::Block, MechLayout::Packed);
     c.bench_function("semlock/admission_packed_uncontended", |b| {
         b.iter(|| {
             packed
@@ -46,7 +46,7 @@ fn bench_lock_uncontended(c: &mut Criterion) {
             packed.unlock(mode);
         })
     });
-    let wide = SemLock::with_backend(table.clone(), WaitStrategy::Block, AdmissionBackend::Wide);
+    let wide = SemLock::with_layout(table.clone(), WaitStrategy::Block, MechLayout::Wide);
     c.bench_function("semlock/admission_wide_uncontended", |b| {
         b.iter(|| {
             wide.acquire(&AcquireSpec::new(mode)).expect("uncontended");

@@ -1,9 +1,7 @@
 //! Machine-readable benchmark runner: emits `BENCH_PR10.json` with
 //! micro-benchmark latencies (telemetry off vs on), the packed-vs-wide
-//! admission A/B, the Dwcas-vs-packed admission A/B, the contended
-//! park/handoff A/B (claim stack vs counters-under-mutex parking), the
-//! cross-backend admission table (one row per registered admission
-//! backend, filterable with `--backend`), the compiled-vs-tree-walk
+//! admission A/B, the contended park/handoff A/B (claim stack vs
+//! counters-under-mutex parking), the compiled-vs-tree-walk
 //! interpreter A/B, the tape-optimizer A/B (optimized vs raw compiled
 //! tape on an acquisition-heavy section; `--no-tape-opt` disables the
 //! optimizer and skips its gate), the open-loop server goodput/latency
@@ -17,7 +15,6 @@
 //!     --against BENCH_PR5.json --against BENCH_PR7.json \
 //!     --against BENCH_PR8.json --against BENCH_PR9.json \
 //!     --against BENCH_PR10.json --tolerance 0.10
-//! cargo run --release --bin bench_json -- --backend conflict_graph --backend wide
 //! ```
 //!
 //! With `--against` (repeatable), the telemetry-off micro benches are
@@ -30,13 +27,14 @@
 //! (PR 4, which adds the admission A/B entries) compose.
 
 use semlock::manager::SemLock;
+use semlock::mech::MechLayout;
 use semlock::mode::ModeTable;
 use semlock::phi::Phi;
 use semlock::symbolic::{SymArg, SymOp, SymbolicSet};
 use semlock::telemetry;
 use semlock::txn::Txn;
 use semlock::value::Value;
-use semlock::{AcquireSpec, AdmissionBackend, WaitStrategy};
+use semlock::{AcquireSpec, WaitStrategy};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,9 +48,6 @@ struct Config {
     against: Vec<String>,
     tolerance: f64,
     telemetry_workloads: bool,
-    /// Backends for the cross-backend table; empty means all of
-    /// [`AdmissionBackend::CONCRETE`].
-    backends: Vec<AdmissionBackend>,
     /// Escape hatch: run the compiled engine without the tape optimizer.
     /// Both sides of the optimizer A/B then run the raw tape and its
     /// gate is skipped — for bisecting whether a regression lives in the
@@ -60,22 +55,10 @@ struct Config {
     no_tape_opt: bool,
 }
 
-impl Config {
-    /// The backends the cross-backend table runs: the `--backend`
-    /// selection, or every concrete backend when no filter was given.
-    fn selected_backends(&self) -> Vec<AdmissionBackend> {
-        if self.backends.is_empty() {
-            AdmissionBackend::CONCRETE.to_vec()
-        } else {
-            self.backends.clone()
-        }
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: bench_json [--ops N] [--threads 1,2,4] [--out FILE] \
-         [--against FILE]... [--tolerance F] [--telemetry] [--backend NAME]... \
+         [--against FILE]... [--tolerance F] [--telemetry] \
          [--no-tape-opt]"
     );
     std::process::exit(2);
@@ -89,7 +72,6 @@ fn parse_args() -> Config {
         against: Vec::new(),
         tolerance: 0.10,
         telemetry_workloads: false,
-        backends: Vec::new(),
         no_tape_opt: false,
     };
     let mut args = std::env::args().skip(1);
@@ -115,16 +97,6 @@ fn parse_args() -> Config {
             "--tolerance" => cfg.tolerance = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--telemetry" => cfg.telemetry_workloads = true,
             "--no-tape-opt" => cfg.no_tape_opt = true,
-            "--backend" => {
-                let name = val(&mut args);
-                match AdmissionBackend::from_name(&name) {
-                    Some(AdmissionBackend::Auto) | None => {
-                        eprintln!("bench_json: unknown backend {name:?}");
-                        usage();
-                    }
-                    Some(b) => cfg.backends.push(b),
-                }
-            }
             _ => usage(),
         }
     }
@@ -471,12 +443,11 @@ fn run_admission_ab(ops: u64) -> AdmissionAb {
     const ROUNDS: u32 = 8;
     let (table, site) = cia_table(64);
     let mode = table.select(site, &[Value(7)]);
-    // `AdmissionBackend::Packed` (not `Auto`) so the build asserts every
+    // `MechLayout::Packed` (not `Auto`) so the build asserts every
     // partition really fits the packed word — an Auto that silently fell
     // back to wide would make the A/B compare wide against wide.
-    let packed =
-        SemLock::with_backend(table.clone(), WaitStrategy::Block, AdmissionBackend::Packed);
-    let wide = SemLock::with_backend(table.clone(), WaitStrategy::Block, AdmissionBackend::Wide);
+    let packed = SemLock::with_layout(table.clone(), WaitStrategy::Block, MechLayout::Packed);
+    let wide = SemLock::with_layout(table.clone(), WaitStrategy::Block, MechLayout::Wide);
     let spec = AcquireSpec::new(mode);
     let iters = ops.max(1000);
     let pass = |lock: &SemLock| {
@@ -497,96 +468,6 @@ fn run_admission_ab(ops: u64) -> AdmissionAb {
         rounds: ROUNDS,
         packed_ns,
         wide_ns,
-    }
-}
-
-/// Dwcas-vs-packed uncontended admission A/B: the identical
-/// `acquire`/`unlock` loop against the 128-bit DWCAS word and the 64-bit
-/// packed word, plus an in-process measurement of the *raw* word-op floor
-/// (bare load + compare-exchange on an `AtomicU64` vs the `AtomicU128`).
-///
-/// `lock cmpxchg16b` is architecturally pricier than a 64-bit
-/// `lock cmpxchg` — by a machine-dependent factor (≈1.0–1.6× across
-/// common parts). That hardware delta is not a property of the admission
-/// protocol, so the gate factors it out: the measured raw ratio scales
-/// the `dwcas_over_packed <= 1.15` bound. What remains gated is the
-/// *software* overhead of the Dwcas path — an extra locked op, a fatter
-/// admit computation, or a lost inline all trip it; the host's wide-CAS
-/// lottery does not. On hardware where both CASes cost the same, the
-/// bound degenerates to the plain 1.15×. When the host lacks
-/// `cmpxchg16b` (or the `dwcas` feature is off) the numbers describe the
-/// spinlock fallback and the gate is skipped.
-struct DwcasAb {
-    rounds: u32,
-    dwcas_ns: f64,
-    packed_ns: f64,
-    raw64_ns: f64,
-    raw128_ns: f64,
-    native: bool,
-}
-
-fn run_dwcas_ab(ops: u64) -> DwcasAb {
-    use semlock::dwcas::AtomicU128;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    const ROUNDS: u32 = 8;
-    let (table, site) = cia_table(64);
-    let mode = table.select(site, &[Value(7)]);
-    let dwcas = SemLock::with_backend(table.clone(), WaitStrategy::Block, AdmissionBackend::Dwcas);
-    let packed =
-        SemLock::with_backend(table.clone(), WaitStrategy::Block, AdmissionBackend::Packed);
-    let spec = AcquireSpec::new(mode);
-    let iters = ops.max(1000);
-    let pass = |lock: &SemLock| {
-        one_pass_ns(iters, &mut || {
-            lock.acquire(&spec).expect("uncontended admission");
-            lock.unlock(mode);
-        })
-    };
-    // The raw floor: the admission loop's exact uncontended shape (one
-    // plain load, one successful compare-exchange) on bare words.
-    let w64 = AtomicU64::new(0);
-    let raw64_pass = || {
-        one_pass_ns(iters, &mut || {
-            let c = w64.load(Ordering::Relaxed);
-            let _ = w64.compare_exchange_weak(
-                c,
-                c.wrapping_add(1),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
-        })
-    };
-    let w128 = AtomicU128::new(0);
-    let raw128_pass = || {
-        one_pass_ns(iters, &mut || {
-            let c = w128.load(Ordering::Relaxed);
-            let _ = w128.compare_exchange_weak(
-                c,
-                c.wrapping_add(1),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
-        })
-    };
-    pass(&dwcas);
-    pass(&packed);
-    raw64_pass();
-    raw128_pass();
-    let (mut dwcas_ns, mut packed_ns) = (f64::INFINITY, f64::INFINITY);
-    let (mut raw64_ns, mut raw128_ns) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..ROUNDS {
-        dwcas_ns = dwcas_ns.min(pass(&dwcas));
-        packed_ns = packed_ns.min(pass(&packed));
-        raw64_ns = raw64_ns.min(raw64_pass());
-        raw128_ns = raw128_ns.min(raw128_pass());
-    }
-    DwcasAb {
-        rounds: ROUNDS,
-        dwcas_ns,
-        packed_ns,
-        raw64_ns,
-        raw128_ns,
-        native: semlock::dwcas::dwcas_available(),
     }
 }
 
@@ -623,7 +504,7 @@ fn handoff_pass(mech: &Arc<semlock::mech::Mech>, iters: u64) -> f64 {
 }
 
 fn run_handoff_ab(ops: u64) -> HandoffAb {
-    use semlock::mech::{Mech, MechLayout};
+    use semlock::mech::Mech;
     const ROUNDS: u32 = 8;
     let claim = Arc::new(Mech::with_layout(
         1,
@@ -644,70 +525,6 @@ fn run_handoff_ab(ops: u64) -> HandoffAb {
         claim_ns,
         mutex_ns,
     }
-}
-
-/// One row of the cross-backend table: the uncontended admission micro
-/// and the ComputeIfAbsent workload throughput (at the highest requested
-/// thread count) for one admission backend.
-struct BackendRow {
-    backend: AdmissionBackend,
-    admit_ns: f64,
-    cia_ops_per_sec: f64,
-    cia_threads: usize,
-    acquisitions: u64,
-    contended: u64,
-}
-
-/// The cross-backend table: every selected backend driven through the
-/// identical uncontended `acquire`/`unlock` loop (min-of-N passes
-/// interleaved *across backends*, so frequency drift hits all rows
-/// alike) and the identical ComputeIfAbsent workload.
-fn run_backends(cfg: &Config) -> Vec<BackendRow> {
-    const ROUNDS: u32 = 8;
-    let (table, site) = cia_table(64);
-    let mode = table.select(site, &[Value(7)]);
-    let spec = AcquireSpec::new(mode);
-    let iters = cfg.ops.max(1000);
-    let backends = cfg.selected_backends();
-    let locks: Vec<SemLock> = backends
-        .iter()
-        .map(|&b| SemLock::with_backend(table.clone(), WaitStrategy::Block, b))
-        .collect();
-    let pass = |lock: &SemLock| {
-        one_pass_ns(iters, &mut || {
-            lock.acquire(&spec).expect("uncontended admission");
-            lock.unlock(mode);
-        })
-    };
-    // Warm every row once, then interleave the timed passes.
-    let mut admit_ns = vec![f64::INFINITY; locks.len()];
-    for lock in &locks {
-        pass(lock);
-    }
-    for _ in 0..ROUNDS {
-        for (ns, lock) in admit_ns.iter_mut().zip(&locks) {
-            *ns = (*ns).min(pass(lock));
-        }
-    }
-    let threads = cfg.threads.iter().copied().max().unwrap_or(1);
-    backends
-        .iter()
-        .zip(admit_ns)
-        .map(|(&backend, admit_ns)| {
-            let bench = ComputeIfAbsent::with_backend(SyncKind::Semantic, 8192, backend);
-            let m = measure(threads, cfg.ops, 1, 1, &|t, rng| bench.op(t, rng));
-            bench.validate().expect("ComputeIfAbsent invariant");
-            let (acquisitions, contended) = bench.contention();
-            BackendRow {
-                backend,
-                admit_ns,
-                cia_ops_per_sec: m.ops_per_sec,
-                cia_threads: threads,
-                acquisitions,
-                contended,
-            }
-        })
-        .collect()
 }
 
 /// Fixed seed for the server bench: the goodput table in the checked-in
@@ -955,9 +772,7 @@ fn render_json(
     cal: f64,
     micros: &[MicroResult],
     admission: &AdmissionAb,
-    dwcas: &DwcasAb,
     handoff: &HandoffAb,
-    backends: &[BackendRow],
     interp_ab: &InterpAb,
     opt_ab: &OptAb,
     server: &ServerReport,
@@ -1014,28 +829,6 @@ fn render_json(
         fmt_f(admission.wide_ns / cal),
         fmt_f(admission.packed_ns / admission.wide_ns)
     );
-    // Ratio-gated like the packed/wide A/B, normalized by the raw
-    // word-op floor (`raw_*`: bare load + CAS on each word width, so the
-    // gate tracks software overhead, not the host's cmpxchg16b premium);
-    // `native` records whether the host ran real cmpxchg16b or the
-    // spinlock fallback (the gate only applies to the native path).
-    let _ = writeln!(
-        out,
-        "  \"admission_dwcas\": {{\"rounds\": {}, \"dwcas_ns_per_op\": {}, \
-         \"packed_ns_per_op\": {}, \"dwcas_rel\": {}, \"packed_rel\": {}, \
-         \"dwcas_over_packed\": {}, \"raw128_ns_per_op\": {}, \"raw64_ns_per_op\": {}, \
-         \"raw_128_over_64\": {}, \"native\": {}}},",
-        dwcas.rounds,
-        fmt_f(dwcas.dwcas_ns),
-        fmt_f(dwcas.packed_ns),
-        fmt_f(dwcas.dwcas_ns / cal),
-        fmt_f(dwcas.packed_ns / cal),
-        fmt_f(dwcas.dwcas_ns / dwcas.packed_ns),
-        fmt_f(dwcas.raw128_ns),
-        fmt_f(dwcas.raw64_ns),
-        fmt_f(dwcas.raw128_ns / dwcas.raw64_ns),
-        dwcas.native
-    );
     // The contended handoff A/B: claim-stack parking vs mutex/condvar
     // parking on the identical two-thread ping-pong. Ratio-gated.
     let _ = writeln!(
@@ -1049,29 +842,6 @@ fn render_json(
         fmt_f(handoff.mutex_ns / cal),
         fmt_f(handoff.claim_ns / handoff.mutex_ns)
     );
-    // The cross-backend table: every admission backend through the
-    // identical uncontended micro (passes interleaved across rows) and
-    // the identical ComputeIfAbsent workload. The gate compares
-    // conflict_graph to wide on the micro (see `check_backends`), again
-    // on a same-process ratio rather than absolute latency.
-    out.push_str("  \"backends\": [\n");
-    for (i, row) in backends.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"backend\": \"{}\", \"admit_ns_per_op\": {}, \"admit_rel\": {}, \
-             \"cia_threads\": {}, \"cia_ops_per_sec\": {}, \
-             \"contention\": {{\"acquisitions\": {}, \"contended\": {}}}}}{}",
-            row.backend.name(),
-            fmt_f(row.admit_ns),
-            fmt_f(row.admit_ns / cal),
-            row.cia_threads,
-            fmt_f(row.cia_ops_per_sec),
-            row.acquisitions,
-            row.contended,
-            if i + 1 == backends.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ],\n");
     // Like the admission A/B, the interpreter A/B is gated on its ratio
     // (both engines measured back-to-back in the same process), so it is
     // immune to machine-speed drift across runs.
@@ -1267,54 +1037,7 @@ fn check_admission(cfg: &Config, admission: &AdmissionAb) -> bool {
     }
 }
 
-/// How much slower than the 64-bit packed admission the Dwcas admission
-/// may be on the uncontended micro, *after* scaling by the measured raw
-/// `cmpxchg16b`/`cmpxchg` hardware ratio. Anything beyond this bound
-/// means the Dwcas path itself regressed — an extra locked op per
-/// admission, a fatter admit computation, or a lost inline.
-const DWCAS_OVER_PACKED_LIMIT: f64 = 1.15;
-
-/// PR 8 acceptance (part 1): the Dwcas admission stays within
-/// [`DWCAS_OVER_PACKED_LIMIT`] of the packed admission on the uncontended
-/// micro, normalized by the host's own raw wide-CAS cost (see
-/// [`DwcasAb`]) and with the regression tolerance as noise headroom.
-/// Skipped (with a note) when the host ran the spinlock fallback instead
-/// of native cmpxchg16b — the fallback's cost is not what the gate is
-/// about.
-fn check_dwcas(cfg: &Config, dwcas: &DwcasAb) -> bool {
-    let ratio = dwcas.dwcas_ns / dwcas.packed_ns;
-    if !dwcas.native {
-        eprintln!(
-            "bench_json: dwcas A/B: fallback path (no cmpxchg16b): dwcas {:.1} ns, \
-             packed {:.1} ns (ratio {ratio:.3}) — gate skipped",
-            dwcas.dwcas_ns, dwcas.packed_ns
-        );
-        return true;
-    }
-    // The hardware's own wide-CAS premium, floored at 1 so a noisy raw
-    // measurement can only tighten the gate, never loosen it below the
-    // nominal 1.15×.
-    let hw = (dwcas.raw128_ns / dwcas.raw64_ns).max(1.0);
-    let limit = DWCAS_OVER_PACKED_LIMIT * hw * (1.0 + cfg.tolerance);
-    if ratio > limit {
-        eprintln!(
-            "bench_json: DWCAS REGRESSION: dwcas {:.1} ns vs packed {:.1} ns \
-             (ratio {ratio:.3} > {limit:.3}; raw word-op floor {:.1} ns vs {:.1} ns = {hw:.3}x)",
-            dwcas.dwcas_ns, dwcas.packed_ns, dwcas.raw128_ns, dwcas.raw64_ns
-        );
-        false
-    } else {
-        eprintln!(
-            "bench_json: dwcas A/B: dwcas {:.1} ns, packed {:.1} ns (ratio {ratio:.3} \
-             <= {limit:.3}; raw word-op floor {:.1} ns vs {:.1} ns = {hw:.3}x; \
-             min of {} interleaved rounds) — ok",
-            dwcas.dwcas_ns, dwcas.packed_ns, dwcas.raw128_ns, dwcas.raw64_ns, dwcas.rounds
-        );
-        true
-    }
-}
-
-/// PR 8 acceptance (part 2): under the two-thread ping-pong the
+/// Handoff gate: under the two-thread ping-pong the
 /// claim-stack handoff must be no slower than the mutex/condvar parking
 /// it replaced (ratio ≤ 1.0, with the regression tolerance as noise
 /// headroom).
@@ -1334,59 +1057,6 @@ fn check_handoff(cfg: &Config, handoff: &HandoffAb) -> bool {
             "bench_json: handoff A/B: claim-stack {:.1} ns, mutex-park {:.1} ns \
              (ratio {ratio:.3}, min of {} interleaved rounds) — ok",
             handoff.claim_ns, handoff.mutex_ns, handoff.rounds
-        );
-        true
-    }
-}
-
-/// How much slower than the wide (Fig. 20) admission the conflict-graph
-/// admission may be on the uncontended micro. Both take the internal
-/// mutex and scan a small conflict list, so they should land close; the
-/// headroom covers the indexed row lookup and the cache line the rows
-/// add. This gates the *floor*, not the ceiling: the conflict-graph
-/// backend is mutex-based and is never expected to beat Packed, so no
-/// upper bound against the lock-free rows is enforced.
-const CONFLICT_GRAPH_OVER_WIDE_LIMIT: f64 = 1.5;
-
-/// PR 9 acceptance: the conflict-graph backend stays within a sane band
-/// of the wide backend on uncontended admission (same-process
-/// interleaved rows, ratio gate with the regression tolerance as noise
-/// headroom). Skipped when a `--backend` filter dropped either row.
-fn check_backends(cfg: &Config, backends: &[BackendRow]) -> bool {
-    for row in backends {
-        eprintln!(
-            "bench_json: backend {}: admit {:.1} ns/op, cia x{} {:.0} ops/s \
-             ({} acquisitions, {} contended)",
-            row.backend.name(),
-            row.admit_ns,
-            row.cia_threads,
-            row.cia_ops_per_sec,
-            row.acquisitions,
-            row.contended
-        );
-    }
-    let find = |b: AdmissionBackend| backends.iter().find(|r| r.backend == b);
-    let (Some(graph), Some(wide)) = (
-        find(AdmissionBackend::ConflictGraph),
-        find(AdmissionBackend::Wide),
-    ) else {
-        eprintln!("bench_json: backends: conflict_graph/wide rows filtered out — gate skipped");
-        return true;
-    };
-    let ratio = graph.admit_ns / wide.admit_ns;
-    let limit = CONFLICT_GRAPH_OVER_WIDE_LIMIT * (1.0 + cfg.tolerance);
-    if ratio > limit {
-        eprintln!(
-            "bench_json: BACKEND REGRESSION: conflict_graph {:.1} ns vs wide {:.1} ns \
-             (ratio {ratio:.3} > {limit:.3})",
-            graph.admit_ns, wide.admit_ns
-        );
-        false
-    } else {
-        eprintln!(
-            "bench_json: backends: conflict_graph {:.1} ns vs wide {:.1} ns \
-             (ratio {ratio:.3} <= {limit:.3}) — ok",
-            graph.admit_ns, wide.admit_ns
         );
         true
     }
@@ -1543,9 +1213,7 @@ fn main() {
         );
     }
     let admission = run_admission_ab(cfg.ops);
-    let dwcas = run_dwcas_ab(cfg.ops);
     let handoff = run_handoff_ab(cfg.ops);
-    let backends = run_backends(&cfg);
     let interp_ab = run_interp_ab(cfg.ops);
     let opt_ab = run_opt_ab(cfg.ops, cfg.no_tape_opt);
     let server = run_server_bench(cfg.ops);
@@ -1556,8 +1224,7 @@ fn main() {
     );
     let workloads = run_workloads(&cfg);
     let json = render_json(
-        cal, &micros, &admission, &dwcas, &handoff, &backends, &interp_ab, &opt_ab, &server,
-        &workloads, &cfg,
+        cal, &micros, &admission, &handoff, &interp_ab, &opt_ab, &server, &workloads, &cfg,
     );
     match &cfg.out {
         Some(path) => {
@@ -1568,9 +1235,7 @@ fn main() {
     }
     let measured = measured_rels(cal, &micros);
     let ok = check_admission(&cfg, &admission)
-        & check_dwcas(&cfg, &dwcas)
         & check_handoff(&cfg, &handoff)
-        & check_backends(&cfg, &backends)
         & check_interp(&cfg, &interp_ab)
         & check_opt(&cfg, &opt_ab)
         & check_server(&cfg, &server)

@@ -713,9 +713,7 @@ fn select_mode(
         }
     }
     let keys = [key];
-    let mode = rs
-        .table
-        .select(rs.rt_site, &keys[..rs.key_slots.len()]);
+    let mode = rs.table.select(rs.rt_site, &keys[..rs.key_slots.len()]);
     *entry = Some(PhiCache {
         table: rs.table.clone(),
         rt_site: rs.rt_site,

@@ -1,13 +1,12 @@
 //! The `Mech` admission protocol instantiated over the model shims.
 //!
-//! [`PackedMech`], [`DwcasMech`] and [`WideMech`] are line-for-line
-//! transcriptions of the blocking-strategy paths of
-//! `semlock::mech::Mech` (packed one-word and Dwcas double-word
+//! [`PackedMech`] and [`WideMech`] are line-for-line transcriptions of
+//! the blocking-strategy paths of `semlock::mech::Mech` (packed one-word
 //! admission with the claim-based waiter-stack handoff; wide per-mode
 //! counters with the registered-waiter store-buffering protocol),
 //! written against [`crate::sync`] instead of `semlock::sync`. The field
-//! math (`field_shift`/`field_of`/`dwcas_field_of`, `FIELD_MAX`,
-//! `WAITERS_BIT`, `DWCAS_WAITERS_BIT`) is imported from `semlock`
+//! math (`field_shift`/`field_of`, `FIELD_MAX`, `WAITERS_BIT`) is
+//! imported from `semlock`
 //! itself, and every memory ordering comes from an [`OrderingProfile`]
 //! whose default is built from the named constants in
 //! `semlock::mech::ordering` — so the protocol being checked is the
@@ -28,11 +27,8 @@
 //! catalog from `semlock::mech::ORDERING_AUDIT`, and the checker must
 //! find a counterexample for every entry.
 
-use crate::sync::{AtomicU128, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
-use semlock::mech::{
-    dwcas_field_of, field_of, field_shift, ordering as ord, DWCAS_WAITERS_BIT, FIELD_MAX,
-    WAITERS_BIT,
-};
+use crate::sync::{AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
+use semlock::mech::{field_of, field_shift, ordering as ord, FIELD_MAX, WAITERS_BIT};
 use std::sync::Arc;
 
 /// Every audited memory ordering of the admission protocol, one field
@@ -51,18 +47,6 @@ pub struct OrderingProfile {
     pub packed_release_cas_ok: Ordering,
     /// `packed.release.cas_fail`
     pub packed_release_cas_fail: Ordering,
-    /// `dwcas.admit.load`
-    pub dwcas_admit_load: Ordering,
-    /// `dwcas.admit.cas_ok`
-    pub dwcas_admit_cas_ok: Ordering,
-    /// `dwcas.admit.cas_fail`
-    pub dwcas_admit_cas_fail: Ordering,
-    /// `dwcas.release.load`
-    pub dwcas_release_load: Ordering,
-    /// `dwcas.release.cas_ok`
-    pub dwcas_release_cas_ok: Ordering,
-    /// `dwcas.release.cas_fail`
-    pub dwcas_release_cas_fail: Ordering,
     /// `stack.push.head_load`
     pub stack_push_head_load: Ordering,
     /// `stack.push.next_store`
@@ -106,12 +90,6 @@ impl Default for OrderingProfile {
             packed_release_load: ord::PACKED_RELEASE_LOAD,
             packed_release_cas_ok: ord::PACKED_RELEASE_CAS_OK,
             packed_release_cas_fail: ord::PACKED_RELEASE_CAS_FAIL,
-            dwcas_admit_load: ord::DWCAS_ADMIT_LOAD,
-            dwcas_admit_cas_ok: ord::DWCAS_ADMIT_CAS_OK,
-            dwcas_admit_cas_fail: ord::DWCAS_ADMIT_CAS_FAIL,
-            dwcas_release_load: ord::DWCAS_RELEASE_LOAD,
-            dwcas_release_cas_ok: ord::DWCAS_RELEASE_CAS_OK,
-            dwcas_release_cas_fail: ord::DWCAS_RELEASE_CAS_FAIL,
             stack_push_head_load: ord::STACK_PUSH_HEAD_LOAD,
             stack_next_store: ord::STACK_NEXT_STORE,
             stack_push_cas_ok: ord::STACK_PUSH_CAS_OK,
@@ -144,12 +122,6 @@ impl OrderingProfile {
             "packed.release.load" => self.packed_release_load = o,
             "packed.release.cas_ok" => self.packed_release_cas_ok = o,
             "packed.release.cas_fail" => self.packed_release_cas_fail = o,
-            "dwcas.admit.load" => self.dwcas_admit_load = o,
-            "dwcas.admit.cas_ok" => self.dwcas_admit_cas_ok = o,
-            "dwcas.admit.cas_fail" => self.dwcas_admit_cas_fail = o,
-            "dwcas.release.load" => self.dwcas_release_load = o,
-            "dwcas.release.cas_ok" => self.dwcas_release_cas_ok = o,
-            "dwcas.release.cas_fail" => self.dwcas_release_cas_fail = o,
             "stack.push.head_load" => self.stack_push_head_load = o,
             "stack.push.next_store" => self.stack_next_store = o,
             "stack.push.cas_ok" => self.stack_push_cas_ok = o,
@@ -344,7 +316,7 @@ impl PackedMech {
         })
     }
 
-    /// `AdmitWord::try_admit` for the packed word, orderings from the
+    /// `try_admit` over the packed word, orderings from the
     /// profile. Public so the batched group probe ([`group_probe`]) can
     /// drive the same single-CAS admission the runtime fast pass uses.
     pub fn try_admit(&self, local: u32, mask: u64) -> bool {
@@ -376,7 +348,7 @@ impl PackedMech {
         loop {
             self.stack.prepare(node);
             self.stack.push(node);
-            // `AdmitWord::summary_set_and_check`: re-check admission
+            // `summary_set_and_check`: re-check admission
             // from the word the fetch_or returned.
             let ret = self
                 .word
@@ -427,7 +399,7 @@ impl PackedMech {
         }
     }
 
-    /// `AdmitWord::try_admit_many`: one combined admission attempt for
+    /// `try_admit_many`: one combined admission attempt for
     /// several modes of this partition word. The union of the members'
     /// conflict masks is checked and every increment applied in a single
     /// CAS — a refused group leaves the word untouched, which is the
@@ -544,109 +516,6 @@ pub fn group_probe(members: &[(Arc<PackedMech>, u32, u64)], rollback: GroupRollb
     false
 }
 
-/// The Dwcas (double-word) blocking mechanism over the model shims:
-/// identical protocol shape to [`PackedMech`], 128-bit admission word.
-pub struct DwcasMech {
-    word: AtomicU128,
-    stack: ModelStack,
-    profile: OrderingProfile,
-}
-
-impl DwcasMech {
-    /// A fresh mechanism (all counts zero). Must be called on a model
-    /// thread.
-    pub fn new(profile: OrderingProfile) -> Arc<DwcasMech> {
-        Arc::new(DwcasMech {
-            word: AtomicU128::new(0),
-            stack: ModelStack::new(16, profile),
-            profile,
-        })
-    }
-
-    /// `AdmitWord::try_admit` for the Dwcas word.
-    fn try_admit(&self, local: u32, mask: u128) -> bool {
-        let one = 1u128 << field_shift(local);
-        let mut cur = self.word.load(self.profile.dwcas_admit_load);
-        loop {
-            if cur & mask != 0 || dwcas_field_of(cur, local) == FIELD_MAX as u128 {
-                return false;
-            }
-            match self.word.compare_exchange_weak(
-                cur,
-                cur + one,
-                self.profile.dwcas_admit_cas_ok,
-                self.profile.dwcas_admit_cas_fail,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// `Mech::lock`, Dwcas blocking arm.
-    pub fn lock(&self, local: u32, mask: u128) {
-        if self.try_admit(local, mask) {
-            return;
-        }
-        let node = self.stack.alloc();
-        loop {
-            self.stack.prepare(node);
-            self.stack.push(node);
-            let ret = self
-                .word
-                .fetch_or(DWCAS_WAITERS_BIT, self.profile.stack_summary_fetch_or);
-            if ret & mask == 0
-                && dwcas_field_of(ret, local) != FIELD_MAX as u128
-                && self.try_admit(local, mask)
-            {
-                return;
-            }
-            self.stack.park(node);
-            if self.try_admit(local, mask) {
-                return;
-            }
-        }
-    }
-
-    /// `Mech::handoff` over the Dwcas word: clear → claim → wake.
-    fn handoff(&self) {
-        self.word
-            .fetch_and(!DWCAS_WAITERS_BIT, self.profile.stack_summary_clear);
-        let chain = self.stack.claim();
-        self.stack.wake_chain(chain);
-    }
-
-    /// `Mech::release_stack` over the Dwcas word.
-    pub fn unlock(&self, local: u32) -> bool {
-        let one = 1u128 << field_shift(local);
-        let mut cur = self.word.load(self.profile.dwcas_release_load);
-        loop {
-            if dwcas_field_of(cur, local) == 0 {
-                return false;
-            }
-            match self.word.compare_exchange_weak(
-                cur,
-                cur - one,
-                self.profile.dwcas_release_cas_ok,
-                self.profile.dwcas_release_cas_fail,
-            ) {
-                Ok(prev) => {
-                    if prev & DWCAS_WAITERS_BIT != 0 {
-                        self.handoff();
-                    }
-                    return true;
-                }
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Latest Dwcas word (post-join asserts).
-    pub fn word(&self) -> u128 {
-        self.word.load(Ordering::Relaxed)
-    }
-}
-
 /// The wide (per-mode counters) blocking mechanism over the model shims.
 pub struct WideMech {
     counts: Vec<AtomicU32>,
@@ -693,91 +562,6 @@ impl WideMech {
     }
 
     /// `Mech::unlock`, wide arm: checked CAS decrement, then the
-    /// decrement-then-read-waiters half of the store-buffering pair.
-    pub fn unlock(&self, local: u32) -> bool {
-        let c = &self.counts[local as usize];
-        let mut cur = c.load(Ordering::Relaxed);
-        loop {
-            if cur == 0 {
-                return false;
-            }
-            match c.compare_exchange_weak(
-                cur,
-                cur - 1,
-                self.profile.wide_release_rmw,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-        if self.waiters.load(self.profile.wide_waiters_load) > 0 {
-            let _g = self.internal.lock();
-            self.cond.notify_all();
-        }
-        true
-    }
-
-    /// Latest count of one mode (post-join asserts).
-    pub fn count(&self, local: u32) -> u32 {
-        self.counts[local as usize].load(Ordering::Relaxed)
-    }
-}
-
-/// The conflict-graph admission backend
-/// (`semlock::admission::ConflictGraphBackend`) over the model shims.
-/// The protocol is the wide blocking protocol verbatim — it reuses the
-/// `wide.*` ordering sites — with one difference mirroring the runtime
-/// backend: the conflict check walks the precomputed adjacency row for
-/// `local` instead of a caller-supplied conflict set.
-pub struct GraphMech {
-    counts: Vec<AtomicU32>,
-    rows: Vec<Vec<u32>>,
-    internal: Mutex<()>,
-    cond: Condvar,
-    waiters: AtomicU32,
-    profile: OrderingProfile,
-}
-
-impl GraphMech {
-    /// A fresh mechanism over symmetric adjacency `rows` (one row of
-    /// conflicting locals per mode). Must be called on a model thread.
-    pub fn new(rows: Vec<Vec<u32>>, profile: OrderingProfile) -> Arc<GraphMech> {
-        Arc::new(GraphMech {
-            counts: (0..rows.len()).map(|_| AtomicU32::new(0)).collect(),
-            rows,
-            internal: Mutex::new(()),
-            cond: Condvar::new(),
-            waiters: AtomicU32::new(0),
-            profile,
-        })
-    }
-
-    /// `ConflictGraphBackend::conflicted`, ordering from the profile.
-    fn conflicted(&self, local: u32) -> bool {
-        self.rows[local as usize]
-            .iter()
-            .any(|&c| self.counts[c as usize].load(self.profile.wide_conflict_load) > 0)
-    }
-
-    /// `ConflictGraphBackend::lock`, blocking arm: register as waiter,
-    /// check the adjacency row, park.
-    pub fn lock(&self, local: u32) {
-        let mut guard = self.internal.lock();
-        loop {
-            self.waiters.fetch_add(1, self.profile.wide_waiter_rmw);
-            if !self.conflicted(local) {
-                self.waiters.fetch_sub(1, self.profile.wide_waiter_rmw);
-                break;
-            }
-            self.cond.wait(&mut guard);
-            self.waiters.fetch_sub(1, self.profile.wide_waiter_rmw);
-        }
-        self.counts[local as usize].fetch_add(1, Ordering::Relaxed);
-        drop(guard);
-    }
-
-    /// `ConflictGraphBackend::unlock`: checked CAS decrement, then the
     /// decrement-then-read-waiters half of the store-buffering pair.
     pub fn unlock(&self, local: u32) -> bool {
         let c = &self.counts[local as usize];

@@ -77,7 +77,7 @@ impl View {
 /// One message in a location's modification order.
 #[derive(Clone, Debug)]
 struct Store {
-    val: u128,
+    val: u64,
     /// The view an acquire reader of this message joins.
     view: View,
 }
@@ -104,7 +104,7 @@ fn is_sc(o: Ordering) -> bool {
 
 impl Memory {
     /// Register a new location with an initial (view-free) store.
-    pub fn alloc(&mut self, init: u128) -> usize {
+    pub fn alloc(&mut self, init: u64) -> usize {
         self.locs.push(vec![Store {
             val: init,
             view: View::default(),
@@ -118,7 +118,7 @@ impl Memory {
     }
 
     /// The newest value (used by the harness after all threads joined).
-    pub fn latest_val(&self, loc: usize) -> u128 {
+    pub fn latest_val(&self, loc: usize) -> u64 {
         self.locs[loc].last().unwrap().val
     }
 
@@ -135,7 +135,7 @@ impl Memory {
     /// Perform a load reading the store `choice` steps *behind* the
     /// latest (`0` = the latest; the caller obtained the choice count from
     /// [`Memory::load_choices`]). Updates `view` per the ordering.
-    pub fn load(&self, view: &mut View, loc: usize, ord: Ordering, choice: usize) -> u128 {
+    pub fn load(&self, view: &mut View, loc: usize, ord: Ordering, choice: usize) -> u64 {
         let idx = self.latest(loc) - choice;
         debug_assert!(
             idx >= view
@@ -152,7 +152,7 @@ impl Memory {
 
     /// Perform a plain store. Relaxed stores publish nothing (breaking any
     /// release sequence); Release/SeqCst stores publish the writer's view.
-    pub fn store(&mut self, view: &mut View, loc: usize, val: u128, ord: Ordering) {
+    pub fn store(&mut self, view: &mut View, loc: usize, val: u64, ord: Ordering) {
         let idx = self.locs[loc].len();
         view.raise(loc, idx);
         let mut msg_view = View::default();
@@ -176,8 +176,8 @@ impl Memory {
         view: &mut View,
         loc: usize,
         ord: Ordering,
-        f: impl FnOnce(u128) -> u128,
-    ) -> u128 {
+        f: impl FnOnce(u64) -> u64,
+    ) -> u64 {
         let idx = self.latest(loc);
         let prev_val = self.locs[loc][idx].val;
         let prev_view = self.locs[loc][idx].view.clone();
@@ -210,11 +210,11 @@ impl Memory {
         &mut self,
         view: &mut View,
         loc: usize,
-        expected: u128,
-        new: u128,
+        expected: u64,
+        new: u64,
         ok: Ordering,
         fail: Ordering,
-    ) -> Result<u128, u128> {
+    ) -> Result<u64, u64> {
         let idx = self.latest(loc);
         let cur = self.locs[loc][idx].val;
         if cur == expected {

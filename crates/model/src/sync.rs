@@ -43,11 +43,11 @@ pub struct AtomicU32 {
     loc: usize,
 }
 
-fn alloc(init: u128) -> usize {
+fn alloc(init: u64) -> usize {
     with_ctx(|ctx| ctx.shared.lock().mem.alloc(init))
 }
 
-fn atomic_load(loc: usize, ord: Ordering) -> u128 {
+fn atomic_load(loc: usize, ord: Ordering) -> u64 {
     with_ctx(|ctx| {
         ctx.shared.schedule(ctx.tid);
         let mut guard = ctx.shared.lock();
@@ -60,7 +60,7 @@ fn atomic_load(loc: usize, ord: Ordering) -> u128 {
     })
 }
 
-fn atomic_store(loc: usize, val: u128, ord: Ordering) {
+fn atomic_store(loc: usize, val: u64, ord: Ordering) {
     with_ctx(|ctx| {
         ctx.shared.schedule(ctx.tid);
         let mut guard = ctx.shared.lock();
@@ -69,7 +69,7 @@ fn atomic_store(loc: usize, val: u128, ord: Ordering) {
     })
 }
 
-fn atomic_rmw(loc: usize, ord: Ordering, f: impl FnOnce(u128) -> u128) -> u128 {
+fn atomic_rmw(loc: usize, ord: Ordering, f: impl FnOnce(u64) -> u64) -> u64 {
     with_ctx(|ctx| {
         ctx.shared.schedule(ctx.tid);
         let mut guard = ctx.shared.lock();
@@ -80,11 +80,11 @@ fn atomic_rmw(loc: usize, ord: Ordering, f: impl FnOnce(u128) -> u128) -> u128 {
 
 fn atomic_cas(
     loc: usize,
-    expected: u128,
-    new: u128,
+    expected: u64,
+    new: u64,
     ok: Ordering,
     fail: Ordering,
-) -> Result<u128, u128> {
+) -> Result<u64, u64> {
     with_ctx(|ctx| {
         ctx.shared.schedule(ctx.tid);
         let mut guard = ctx.shared.lock();
@@ -97,39 +97,37 @@ fn atomic_cas(
 impl AtomicU64 {
     /// Allocate a fresh model location holding `v`.
     pub fn new(v: u64) -> AtomicU64 {
-        AtomicU64 {
-            loc: alloc(v as u128),
-        }
+        AtomicU64 { loc: alloc(v) }
     }
 
     /// Model load; a schedule point plus a staleness choice.
     pub fn load(&self, ord: Ordering) -> u64 {
-        atomic_load(self.loc, ord) as u64
+        atomic_load(self.loc, ord)
     }
 
     /// Model store.
     pub fn store(&self, v: u64, ord: Ordering) {
-        atomic_store(self.loc, v as u128, ord)
+        atomic_store(self.loc, v, ord)
     }
 
     /// Model `fetch_add` with u64 wrapping, like the real atomic.
     pub fn fetch_add(&self, v: u64, ord: Ordering) -> u64 {
-        atomic_rmw(self.loc, ord, |x| (x as u64).wrapping_add(v) as u128) as u64
+        atomic_rmw(self.loc, ord, |x| x.wrapping_add(v))
     }
 
     /// Model `fetch_sub` with u64 wrapping.
     pub fn fetch_sub(&self, v: u64, ord: Ordering) -> u64 {
-        atomic_rmw(self.loc, ord, |x| (x as u64).wrapping_sub(v) as u128) as u64
+        atomic_rmw(self.loc, ord, |x| x.wrapping_sub(v))
     }
 
     /// Model `fetch_or`.
     pub fn fetch_or(&self, v: u64, ord: Ordering) -> u64 {
-        atomic_rmw(self.loc, ord, |x| ((x as u64) | v) as u128) as u64
+        atomic_rmw(self.loc, ord, |x| x | v)
     }
 
     /// Model `fetch_and`.
     pub fn fetch_and(&self, v: u64, ord: Ordering) -> u64 {
-        atomic_rmw(self.loc, ord, |x| ((x as u64) & v) as u128) as u64
+        atomic_rmw(self.loc, ord, |x| x & v)
     }
 
     /// Model compare-exchange. Never fails spuriously (a strict subset of
@@ -142,9 +140,7 @@ impl AtomicU64 {
         ok: Ordering,
         fail: Ordering,
     ) -> Result<u64, u64> {
-        atomic_cas(self.loc, expected as u128, new as u128, ok, fail)
-            .map(|v| v as u64)
-            .map_err(|v| v as u64)
+        atomic_cas(self.loc, expected, new, ok, fail)
     }
 
     /// Model weak compare-exchange (same as the strong form here).
@@ -159,68 +155,11 @@ impl AtomicU64 {
     }
 }
 
-/// Model replacement for `semlock::sync::AtomicU128` (the double-width
-/// admission word). The store history is natively 128-bit, so no masking
-/// is needed; like the real type's fallback, every op is one atomic
-/// transition of the word.
-pub struct AtomicU128 {
-    loc: usize,
-}
-
-impl AtomicU128 {
-    /// Allocate a fresh model location holding `v`.
-    pub fn new(v: u128) -> AtomicU128 {
-        AtomicU128 { loc: alloc(v) }
-    }
-
-    /// Model load; a schedule point plus a staleness choice.
-    pub fn load(&self, ord: Ordering) -> u128 {
-        atomic_load(self.loc, ord)
-    }
-
-    /// Model store.
-    pub fn store(&self, v: u128, ord: Ordering) {
-        atomic_store(self.loc, v, ord)
-    }
-
-    /// Model `fetch_or`.
-    pub fn fetch_or(&self, v: u128, ord: Ordering) -> u128 {
-        atomic_rmw(self.loc, ord, |x| x | v)
-    }
-
-    /// Model `fetch_and`.
-    pub fn fetch_and(&self, v: u128, ord: Ordering) -> u128 {
-        atomic_rmw(self.loc, ord, |x| x & v)
-    }
-
-    /// Model compare-exchange (never spuriously failing, as above).
-    pub fn compare_exchange(
-        &self,
-        expected: u128,
-        new: u128,
-        ok: Ordering,
-        fail: Ordering,
-    ) -> Result<u128, u128> {
-        atomic_cas(self.loc, expected, new, ok, fail)
-    }
-
-    /// Model weak compare-exchange (same as the strong form here).
-    pub fn compare_exchange_weak(
-        &self,
-        expected: u128,
-        new: u128,
-        ok: Ordering,
-        fail: Ordering,
-    ) -> Result<u128, u128> {
-        atomic_cas(self.loc, expected, new, ok, fail)
-    }
-}
-
 impl AtomicU32 {
     /// Allocate a fresh model location holding `v`.
     pub fn new(v: u32) -> AtomicU32 {
         AtomicU32 {
-            loc: alloc(v as u128),
+            loc: alloc(v as u64),
         }
     }
 
@@ -231,17 +170,17 @@ impl AtomicU32 {
 
     /// Model store.
     pub fn store(&self, v: u32, ord: Ordering) {
-        atomic_store(self.loc, v as u128, ord)
+        atomic_store(self.loc, v as u64, ord)
     }
 
     /// Model `fetch_add` with u32 wrapping.
     pub fn fetch_add(&self, v: u32, ord: Ordering) -> u32 {
-        atomic_rmw(self.loc, ord, |x| (x as u32).wrapping_add(v) as u128) as u32
+        atomic_rmw(self.loc, ord, |x| (x as u32).wrapping_add(v) as u64) as u32
     }
 
     /// Model `fetch_sub` with u32 wrapping.
     pub fn fetch_sub(&self, v: u32, ord: Ordering) -> u32 {
-        atomic_rmw(self.loc, ord, |x| (x as u32).wrapping_sub(v) as u128) as u32
+        atomic_rmw(self.loc, ord, |x| (x as u32).wrapping_sub(v) as u64) as u32
     }
 
     /// Model compare-exchange.
@@ -252,7 +191,7 @@ impl AtomicU32 {
         ok: Ordering,
         fail: Ordering,
     ) -> Result<u32, u32> {
-        atomic_cas(self.loc, expected as u128, new as u128, ok, fail)
+        atomic_cas(self.loc, expected as u64, new as u64, ok, fail)
             .map(|v| v as u32)
             .map_err(|v| v as u32)
     }

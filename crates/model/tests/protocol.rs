@@ -8,12 +8,10 @@
 //! lost-wakeup deadlock), while the unmutated profile passes the very
 //! same scenarios. CI fails if any mutant survives.
 
-use model::mech_model::{
-    group_probe, DwcasMech, GraphMech, GroupRollback, OrderingProfile, PackedMech, WideMech,
-};
+use model::mech_model::{group_probe, GroupRollback, OrderingProfile, PackedMech, WideMech};
 use model::sync::{thread, AtomicU64, Ordering};
 use model::{Checker, Stats, Violation, ViolationKind};
-use semlock::mech::{dwcas_conflict_mask, field_of, packed_conflict_mask};
+use semlock::mech::{field_of, packed_conflict_mask};
 use std::sync::Arc;
 
 /// Preemption bound for the 3-thread scenarios. The default of 1 keeps
@@ -209,47 +207,27 @@ fn wide_lost_wakeup_scenario(profile: OrderingProfile) -> Result<Stats, Box<Viol
     })
 }
 
-/// The lost-wakeup handoff on the conflict-graph transcription: the
-/// identical store-buffering pair as the wide mechanism, with the
-/// conflict check walking the precomputed adjacency rows.
-fn graph_lost_wakeup_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
+/// Exclusivity and visibility through the wide admission: two threads on
+/// mutually conflicting modes increment a plain data cell in their
+/// critical sections; no schedule may admit both at once or lose an
+/// update across the releases.
+fn wide_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
     Checker::new().preemption_bound(3).check(move || {
-        let mech = GraphMech::new(vec![vec![1], vec![0]], profile);
-        mech.lock(0);
-        let m2 = mech.clone();
-        let waiter = thread::spawn(move || {
-            m2.lock(1);
-            assert!(m2.unlock(1));
-        });
-        assert!(mech.unlock(0));
-        waiter.join();
-        assert_eq!(mech.count(0), 0);
-        assert_eq!(mech.count(1), 0);
-        assert!(!mech.unlock(1), "double unlock must be refused");
-    })
-}
-
-/// Exclusivity and visibility through the conflict-graph admission: two
-/// threads on mutually conflicting modes increment a plain data cell in
-/// their critical sections; no schedule may admit both at once or lose
-/// an update across the releases.
-fn graph_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
-    Checker::new().preemption_bound(3).check(move || {
-        let mech = GraphMech::new(vec![vec![1], vec![0]], profile);
+        let mech = WideMech::new(2, profile);
         let data = Arc::new(AtomicU64::new(0));
         let in_cs = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = [0u32, 1u32]
+        let handles: Vec<_> = [(0u32, 1u32), (1u32, 0u32)]
             .into_iter()
-            .map(|local| {
+            .map(|(local, other)| {
                 let mech = mech.clone();
                 let data = data.clone();
                 let in_cs = in_cs.clone();
                 thread::spawn(move || {
-                    mech.lock(local);
+                    mech.lock(local, &[other]);
                     assert_eq!(
                         in_cs.fetch_add(1, Ordering::Relaxed),
                         0,
-                        "graph-conflicting modes held concurrently"
+                        "conflicting wide modes held concurrently"
                     );
                     let v = data.load(Ordering::Relaxed);
                     data.store(v + 1, Ordering::Relaxed);
@@ -269,64 +247,6 @@ fn graph_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Vio
         assert_eq!(mech.count(0), 0, "counts unbalanced after all releases");
         assert_eq!(mech.count(1), 0, "counts unbalanced after all releases");
         assert!(!mech.unlock(0), "double unlock must be refused");
-    })
-}
-
-/// The packed exclusivity/visibility scenario transposed onto the Dwcas
-/// word, with the two modes in *different 64-bit halves* (0 and 15) so a
-/// torn or half-stale double-word update cannot hide.
-fn dwcas_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
-    Checker::new().preemption_bound(3).check(move || {
-        let mech = DwcasMech::new(profile);
-        let data = Arc::new(AtomicU64::new(0));
-        let in_cs = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = [(0u32, 15u32), (15u32, 0u32)]
-            .into_iter()
-            .map(|(local, other)| {
-                let mech = mech.clone();
-                let data = data.clone();
-                let in_cs = in_cs.clone();
-                thread::spawn(move || {
-                    let mask = dwcas_conflict_mask(&[other]);
-                    mech.lock(local, mask);
-                    assert_eq!(
-                        in_cs.fetch_add(1, Ordering::Relaxed),
-                        0,
-                        "conflicting dwcas modes held concurrently"
-                    );
-                    let v = data.load(Ordering::Relaxed);
-                    data.store(v + 1, Ordering::Relaxed);
-                    in_cs.fetch_sub(1, Ordering::Relaxed);
-                    assert!(mech.unlock(local), "balanced release refused");
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join();
-        }
-        assert_eq!(
-            data.load(Ordering::Relaxed),
-            2,
-            "lost update across releases"
-        );
-        assert_eq!(mech.word(), 0, "counts unbalanced after all releases");
-        assert!(!mech.unlock(0), "double unlock must be refused");
-    })
-}
-
-/// The lost-wakeup shape on the Dwcas word.
-fn dwcas_lost_wakeup_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
-    Checker::new().preemption_bound(3).check(move || {
-        let mech = DwcasMech::new(profile);
-        mech.lock(0, dwcas_conflict_mask(&[15]));
-        let m2 = mech.clone();
-        let waiter = thread::spawn(move || {
-            m2.lock(15, dwcas_conflict_mask(&[0]));
-            assert!(m2.unlock(15));
-        });
-        assert!(mech.unlock(0));
-        waiter.join();
-        assert_eq!(mech.word(), 0);
     })
 }
 
@@ -487,9 +407,7 @@ fn packed_group_word_all_or_nothing_scenario(
 /// [`group_probe`] and, when admitted, runs a critical section spanning
 /// both partitions. No schedule may admit both groups at once, and a
 /// refused probe's rollback must leave both words balanced.
-fn packed_group_exclusivity_scenario(
-    profile: OrderingProfile,
-) -> Result<Stats, Box<Violation>> {
+fn packed_group_exclusivity_scenario(profile: OrderingProfile) -> Result<Stats, Box<Violation>> {
     Checker::new().preemption_bound(3).check(move || {
         let a = PackedMech::new(profile);
         let b = PackedMech::new(profile);
@@ -648,15 +566,9 @@ fn wide_release_never_loses_a_wakeup() {
 }
 
 #[test]
-fn graph_release_never_loses_a_wakeup() {
-    graph_lost_wakeup_scenario(OrderingProfile::default())
-        .expect("shipped conflict-graph protocol must not lose wakeups");
-}
-
-#[test]
-fn graph_admission_is_exclusive_and_visible() {
-    let stats = graph_exclusivity_scenario(OrderingProfile::default())
-        .expect("shipped conflict-graph protocol must pass exclusivity/visibility");
+fn wide_admission_is_exclusive_and_visible() {
+    let stats = wide_exclusivity_scenario(OrderingProfile::default())
+        .expect("shipped wide protocol must pass exclusivity/visibility");
     assert!(
         stats.schedules > 100,
         "exploration suspiciously small: {stats:?}"
@@ -667,22 +579,6 @@ fn graph_admission_is_exclusive_and_visible() {
 fn packed_three_thread_admission_is_exclusive() {
     packed_three_thread_scenario(OrderingProfile::default())
         .expect("shipped packed protocol must pass the 3-thread scenario");
-}
-
-#[test]
-fn dwcas_admission_is_exclusive_and_visible() {
-    let stats = dwcas_exclusivity_scenario(OrderingProfile::default())
-        .expect("shipped dwcas protocol must pass exclusivity/visibility");
-    assert!(
-        stats.schedules > 100,
-        "exploration suspiciously small: {stats:?}"
-    );
-}
-
-#[test]
-fn dwcas_release_never_loses_a_wakeup() {
-    dwcas_lost_wakeup_scenario(OrderingProfile::default())
-        .expect("shipped dwcas protocol must not lose wakeups");
 }
 
 #[test]
@@ -713,8 +609,8 @@ fn is_counterexample(v: &Violation) -> bool {
 fn every_seeded_ordering_mutant_is_detected() {
     let mutants = OrderingProfile::mutants();
     assert!(
-        mutants.len() >= 11,
-        "ORDERING_AUDIT must seed at least 11 mutants, found {}",
+        mutants.len() >= 9,
+        "ORDERING_AUDIT must seed at least 9 mutants, found {}",
         mutants.len()
     );
     let mut survivors = Vec::new();
@@ -724,12 +620,7 @@ fn every_seeded_ordering_mutant_is_detected() {
         // a mutant costs a full exploration we can usually skip.
         type Scenario = fn(OrderingProfile) -> Result<Stats, Box<Violation>>;
         let mut scenarios: Vec<Scenario> = if site.starts_with("wide.") {
-            // The conflict-graph backend transcribes the wide protocol
-            // verbatim, so a weakened wide site must fall to the graph
-            // scenarios too (see the dedicated test below).
-            vec![wide_lost_wakeup_scenario, graph_lost_wakeup_scenario]
-        } else if site.starts_with("dwcas.") {
-            vec![dwcas_exclusivity_scenario, dwcas_lost_wakeup_scenario]
+            vec![wide_lost_wakeup_scenario, wide_exclusivity_scenario]
         } else if site.starts_with("stack.") {
             vec![
                 stack_two_waiter_scenario,
@@ -746,15 +637,12 @@ fn every_seeded_ordering_mutant_is_detected() {
         scenarios.extend([
             packed_exclusivity_scenario,
             packed_lost_wakeup_scenario,
-            dwcas_exclusivity_scenario,
-            dwcas_lost_wakeup_scenario,
             stack_two_waiter_scenario,
             stack_window_pusher_scenario,
             wide_lost_wakeup_scenario,
-            graph_lost_wakeup_scenario,
-            graph_exclusivity_scenario,
+            wide_exclusivity_scenario,
             packed_three_thread_scenario,
-        ] as [Scenario; 10]);
+        ] as [Scenario; 7]);
         let caught = scenarios
             .into_iter()
             .filter_map(|s| s(*profile).err())
@@ -766,33 +654,5 @@ fn every_seeded_ordering_mutant_is_detected() {
     assert!(
         survivors.is_empty(),
         "ordering mutants survived bounded model checking: {survivors:?}"
-    );
-}
-
-/// The conflict-graph backend inherits the wide protocol's ordering
-/// sites wholesale, so its transcription must be strong enough to
-/// refute every `wide.*` mutant *on its own* — otherwise the backend is
-/// riding on orderings the model cannot show it needs.
-#[test]
-fn wide_site_mutants_fall_to_the_graph_transcription() {
-    let mut checked = 0;
-    let mut survivors = Vec::new();
-    for (site, profile) in OrderingProfile::mutants() {
-        if !site.starts_with("wide.") {
-            continue;
-        }
-        checked += 1;
-        let caught = [graph_lost_wakeup_scenario, graph_exclusivity_scenario]
-            .into_iter()
-            .filter_map(|s| s(profile).err())
-            .any(|v| is_counterexample(&v));
-        if !caught {
-            survivors.push(site);
-        }
-    }
-    assert_eq!(checked, 4, "expected all four wide sites to seed mutants");
-    assert!(
-        survivors.is_empty(),
-        "wide-site mutants survived the conflict-graph transcription: {survivors:?}"
     );
 }

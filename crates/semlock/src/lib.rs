@@ -18,11 +18,10 @@
 //! * [`phi::Phi`] — the abstract-value hash φ (§5.1);
 //! * [`mode::ModeTable`] — locking-mode generation, merging, the
 //!   commutativity function `F_c` (Fig. 19) and lock partitioning (§5.2–5.3);
-//! * [`mech::Mech`] — the per-partition counter mechanism of Fig. 20;
-//! * [`admission`] — the pluggable admission backends behind one
-//!   [`admission::Admission`] trait: the three word/counter layouts plus
-//!   an Aksenov-style conflict-graph backend and an optimistic
-//!   try-then-block hybrid, selected by [`admission::AdmissionBackend`];
+//! * [`mech::Mech`] — the per-partition counter mechanism of Fig. 20, in
+//!   one of two layouts picked by [`mech::MechLayout`]: a packed
+//!   lock-free 64-bit word for partitions of up to eight modes, per-mode
+//!   counters under a mutex for wider ones;
 //! * [`manager::SemLock`] — the per-instance `lock` / `unlockAll` API;
 //! * [`txn::Txn`] — transaction contexts (`LOCAL_SET`, `LV`, `LV2`,
 //!   epilogue, early release);
@@ -87,9 +86,7 @@
 #![warn(missing_docs)]
 
 pub mod acquire;
-pub mod admission;
 pub mod commut;
-pub mod dwcas;
 pub mod error;
 pub mod fault;
 pub mod manager;
@@ -110,15 +107,14 @@ pub mod value;
 pub mod watchdog;
 
 // The acquisition surface at the crate root: exactly what a caller needs
-// to take and release modes — the unified `acquire(&AcquireSpec)` path,
-// its error types, and the admission-backend configuration. Everything
-// else (schema/spec/synthesis machinery, counter layouts, the retry/
+// to take and release modes — the unified `acquire(&AcquireSpec)` path
+// and its error types. Everything else (schema/spec/synthesis
+// machinery, counter layouts, the retry/
 // overload layer) stays behind its module: that surface is
 // compiler-facing or policy-facing, not lock-caller-facing.
 pub use crate::acquire::{AcquireSpec, WaitBudget};
-pub use crate::admission::{Admission, AdmissionBackend};
 pub use crate::error::{LockError, LockResult};
-pub use crate::manager::{SemLock, SemLockBuilder};
+pub use crate::manager::SemLock;
 pub use crate::mech::WaitStrategy;
 pub use crate::mode::ModeId;
 pub use crate::txn::Txn;
@@ -126,10 +122,9 @@ pub use crate::txn::Txn;
 /// Convenient re-exports of the most used types.
 pub mod prelude {
     pub use crate::acquire::{AcquireSpec, WaitBudget};
-    pub use crate::admission::{Admission, AdmissionBackend};
     pub use crate::error::{LockError, LockResult};
     pub use crate::fault::{FaultAction, FaultPlan, FaultPoint};
-    pub use crate::manager::{SemLock, SemLockBuilder};
+    pub use crate::manager::SemLock;
     pub use crate::mech::WaitStrategy;
     pub use crate::mode::{LockSiteId, Mode, ModeArg, ModeId, ModeOp, ModeTable};
     pub use crate::phi::{AbsVal, Phi};

@@ -1,18 +1,13 @@
 //! Per-ADT-instance semantic locks (§2.2).
 //!
 //! A [`SemLock`] is the synchronization side of one ADT instance: it owns
-//! one admission backend (see [`crate::admission`], selected by
-//! [`AdmissionBackend`]) per partition of the class's [`ModeTable`] and
-//! exposes the
-//! mode-level `lock` / `unlock` the paper's synchronization API compiles
+//! one counter mechanism ([`Mech`]) per partition of the class's
+//! [`ModeTable`] and exposes the mode-level `lock` / `unlock` the paper's synchronization API compiles
 //! down to. Every instance carries a process-unique identifier, used both
 //! for the dynamic ordering of same-equivalence-class acquisitions
 //! (`unique(x)` in Fig. 12) and by the protocol checker.
 
 use crate::acquire::{AcquireSpec, WaitBudget};
-use crate::admission::{
-    Admission, AdmissionBackend, AnyBackend, ConflictGraphBackend, OptimisticHybridBackend,
-};
 use crate::error::LockError;
 use crate::mech::{Acquire, Mech, MechLayout, Wait, WaitStrategy};
 use crate::mode::{ModeId, ModePlacement, ModeTable};
@@ -58,8 +53,8 @@ enum PoisonStage {
 /// The semantic lock of one ADT instance.
 pub struct SemLock {
     table: Arc<ModeTable>,
-    backends: Box<[AnyBackend]>,
-    backend: AdmissionBackend,
+    /// One counter mechanism per partition of `table`.
+    mechs: Box<[Mech]>,
     id: u64,
     /// Set when a transaction panicked during an ADT operation on this
     /// instance (or aborted after mutating it): the structure may be torn,
@@ -67,142 +62,42 @@ pub struct SemLock {
     poisoned: AtomicBool,
 }
 
-/// Builder for [`SemLock`]: pick a wait strategy and an admission
-/// backend, then [`build`](SemLockBuilder::build).
-///
-/// ```
-/// # use semlock::schema::set_schema;
-/// # use semlock::spec::CommutSpec;
-/// # use semlock::phi::Phi;
-/// # use semlock::mode::ModeTable;
-/// # use semlock::{AdmissionBackend, SemLock};
-/// # let schema = set_schema();
-/// # let spec = CommutSpec::builder(schema.clone()).build();
-/// # let table = ModeTable::builder(schema, spec, Phi::modulo(4)).build();
-/// let lock = SemLock::builder(table)
-///     .backend(AdmissionBackend::ConflictGraph)
-///     .build();
-/// ```
-pub struct SemLockBuilder {
-    table: Arc<ModeTable>,
-    strategy: WaitStrategy,
-    backend: AdmissionBackend,
-}
-
-impl SemLockBuilder {
-    /// Set the wait strategy (default: blocking).
-    pub fn strategy(mut self, strategy: WaitStrategy) -> SemLockBuilder {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Set the admission backend (default: [`AdmissionBackend::Auto`]).
-    pub fn backend(mut self, backend: AdmissionBackend) -> SemLockBuilder {
-        self.backend = backend;
-        self
-    }
-
-    /// Build the lock.
-    pub fn build(self) -> SemLock {
-        SemLock::with_backend(self.table, self.strategy, self.backend)
-    }
-}
-
 impl SemLock {
     /// Create the lock for a new ADT instance of the class described by
     /// `table`, using the default (blocking) wait strategy and the
-    /// [`AdmissionBackend::Auto`] backend.
+    /// [`MechLayout::Auto`] counter layout.
     pub fn new(table: Arc<ModeTable>) -> SemLock {
         SemLock::with_strategy(table, WaitStrategy::Block)
     }
 
-    /// Start building a lock with a non-default wait strategy or
-    /// admission backend.
-    pub fn builder(table: Arc<ModeTable>) -> SemLockBuilder {
-        SemLockBuilder {
-            table,
-            strategy: WaitStrategy::default(),
-            backend: AdmissionBackend::default(),
-        }
-    }
-
     /// Create with an explicit wait strategy (used by the ablation bench).
     pub fn with_strategy(table: Arc<ModeTable>, strategy: WaitStrategy) -> SemLock {
-        SemLock::with_backend(table, strategy, AdmissionBackend::Auto)
+        SemLock::with_layout(table, strategy, MechLayout::Auto)
     }
 
-    /// Create with an explicit admission backend — the configuration
-    /// surface behind which all counter layouts and admission policies
-    /// live (see [`crate::admission`]).
+    /// Create with a forced counter layout for every partition. Tests and
+    /// the packed-vs-wide A/B use [`MechLayout::Wide`] as the reference
+    /// on the same table; [`MechLayout::Auto`] is right everywhere else.
     ///
     /// # Panics
-    /// If the backend's [`AdmissionBackend::max_modes`] bound is
-    /// exceeded by some partition of `table`.
-    pub fn with_backend(
-        table: Arc<ModeTable>,
-        strategy: WaitStrategy,
-        backend: AdmissionBackend,
-    ) -> SemLock {
-        let backends = table
-            .partition_sizes()
-            .iter()
-            .enumerate()
-            .map(|(part, &sz)| {
-                let modes = sz as usize;
-                match backend {
-                    AdmissionBackend::Auto => {
-                        AnyBackend::Word(Mech::with_layout(modes, strategy, MechLayout::Auto))
-                    }
-                    AdmissionBackend::Wide => {
-                        AnyBackend::Word(Mech::with_layout(modes, strategy, MechLayout::Wide))
-                    }
-                    AdmissionBackend::Packed => {
-                        AnyBackend::Word(Mech::with_layout(modes, strategy, MechLayout::Packed))
-                    }
-                    AdmissionBackend::Dwcas => {
-                        AnyBackend::Word(Mech::with_layout(modes, strategy, MechLayout::Dwcas))
-                    }
-                    AdmissionBackend::ConflictGraph => AnyBackend::Graph(
-                        ConflictGraphBackend::new(table.conflict_adjacency(part as u32), strategy),
-                    ),
-                    AdmissionBackend::OptimisticHybrid => {
-                        AnyBackend::Hybrid(OptimisticHybridBackend::new(modes, strategy))
-                    }
-                }
-            })
-            .collect();
-        SemLock {
-            table,
-            backends,
-            backend,
-            id: fresh_instance_id(),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-
-    /// Create with an explicit counter representation per mechanism.
-    #[deprecated(
-        since = "0.2.0",
-        note = "select a backend with `SemLock::with_backend` / `SemLock::builder` instead \
-                of a raw counter layout"
-    )]
-    pub fn with_mech_layout(
+    /// If `layout` is [`MechLayout::Packed`] and some partition of
+    /// `table` has more than [`crate::mech::PACKED_MODE_LIMIT`] modes.
+    pub fn with_layout(
         table: Arc<ModeTable>,
         strategy: WaitStrategy,
         layout: MechLayout,
     ) -> SemLock {
-        let backend = match layout {
-            MechLayout::Auto => AdmissionBackend::Auto,
-            MechLayout::Packed => AdmissionBackend::Packed,
-            MechLayout::Dwcas => AdmissionBackend::Dwcas,
-            MechLayout::Wide => AdmissionBackend::Wide,
-        };
-        SemLock::with_backend(table, strategy, backend)
-    }
-
-    /// The configured admission backend.
-    pub fn backend(&self) -> AdmissionBackend {
-        self.backend
+        let mechs = table
+            .partition_sizes()
+            .iter()
+            .map(|&sz| Mech::with_layout(sz as usize, strategy, layout))
+            .collect();
+        SemLock {
+            table,
+            mechs,
+            id: fresh_instance_id(),
+            poisoned: AtomicBool::new(false),
+        }
     }
 
     /// The class mode table.
@@ -261,11 +156,11 @@ impl SemLock {
         if p.free {
             return Ok(()); // commutes with everything: admission can never fail
         }
-        self.backends[p.part as usize].lock(p.local, p.conflicts());
+        self.mechs[p.part as usize].lock(p.local, p.conflicts());
         // Re-check after admission: the instance may have been poisoned by
         // a holder that panicked while we were blocked.
         if self.is_poisoned() {
-            let _ = self.backends[p.part as usize].unlock(p.local);
+            let _ = self.mechs[p.part as usize].unlock(p.local);
             return Err(PoisonStage::AfterWait);
         }
         Ok(())
@@ -300,9 +195,9 @@ impl SemLock {
             return Ok(());
         }
         self.tele_sample_conflicts(t0, ctx, mode, p);
-        let waited = self.backends[p.part as usize].lock(p.local, p.conflicts());
+        let waited = self.mechs[p.part as usize].lock(p.local, p.conflicts());
         if self.is_poisoned() {
-            let _ = self.backends[p.part as usize].unlock(p.local);
+            let _ = self.mechs[p.part as usize].unlock(p.local);
             let t1 = telemetry::now_ns();
             self.tele(
                 t1,
@@ -414,9 +309,9 @@ impl SemLock {
         if p.free {
             return Ok(());
         }
-        if self.backends[p.part as usize].try_lock(p.local, p.conflicts()) {
+        if self.mechs[p.part as usize].try_lock(p.local, p.conflicts()) {
             if self.is_poisoned() {
-                let _ = self.backends[p.part as usize].unlock(p.local);
+                let _ = self.mechs[p.part as usize].unlock(p.local);
                 return Err(LockError::Poisoned { instance: self.id });
             }
             Ok(())
@@ -452,9 +347,9 @@ impl SemLock {
             self.tele(t0, EventKind::Admit, WaitCause::Uncontended, ctx, mode, 0);
             return Ok(());
         }
-        if self.backends[p.part as usize].try_lock(p.local, p.conflicts()) {
+        if self.mechs[p.part as usize].try_lock(p.local, p.conflicts()) {
             if self.is_poisoned() {
-                let _ = self.backends[p.part as usize].unlock(p.local);
+                let _ = self.mechs[p.part as usize].unlock(p.local);
                 self.tele(
                     t0,
                     EventKind::PoisonRejected,
@@ -484,8 +379,8 @@ impl SemLock {
     /// rolled back in reverse order).
     ///
     /// Modes are grouped by partition and each partition admits through
-    /// its backend's [`Admission::lock_group`] — one CAS per distinct
-    /// partition word on the packed/Dwcas layouts. A conflict reports
+    /// [`Mech::try_lock_group`] — one CAS per distinct partition word on
+    /// the packed layout. A conflict reports
     /// [`LockError::Timeout`] with a zero wait (as [`SemLock::try_lock_checked`]);
     /// the caller escalates to the blocking per-mode protocol.
     ///
@@ -526,7 +421,7 @@ impl SemLock {
                     cs: p.conflicts(),
                 })
                 .collect();
-            if !self.backends[part as usize].lock_group(&members) {
+            if !self.mechs[part as usize].try_lock_group(&members) {
                 self.rollback_group(&placements, &admitted);
                 return Err(LockError::Timeout {
                     instance: self.id,
@@ -550,7 +445,7 @@ impl SemLock {
     fn rollback_group(&self, placements: &[&ModePlacement], admitted: &[u32]) {
         for &part in admitted.iter().rev() {
             for p in placements.iter().rev().filter(|p| p.part == part) {
-                let released = self.backends[part as usize].unlock(p.local);
+                let released = self.mechs[part as usize].unlock(p.local);
                 debug_assert!(released, "group rollback released an unheld mode");
             }
         }
@@ -642,7 +537,7 @@ impl SemLock {
         let mut registered = false;
         let mut pending: Option<Vec<TxnId>> = None;
         let mut abort_cycle: Vec<TxnId> = Vec::new();
-        let outcome = self.backends[p.part as usize].lock_deadline(
+        let outcome = self.mechs[p.part as usize].lock_deadline(
             p.local,
             p.conflicts(),
             deadline,
@@ -679,7 +574,7 @@ impl SemLock {
                 // Re-check after admission: a holder may have poisoned the
                 // instance (panic mid-operation) while we were blocked.
                 if self.is_poisoned() {
-                    let _ = self.backends[p.part as usize].unlock(p.local);
+                    let _ = self.mechs[p.part as usize].unlock(p.local);
                     if tel {
                         let t1 = telemetry::now_ns();
                         self.tele(
@@ -773,12 +668,12 @@ impl SemLock {
     /// Sum of hold counts over every mode (quiescence checks: zero means
     /// no transaction holds any mode on this instance).
     pub fn total_holds(&self) -> u64 {
-        self.backends.iter().map(|m| m.held_total()).sum()
+        self.mechs.iter().map(|m| m.held_total()).sum()
     }
 
     /// Bounded acquisitions that timed out, summed over all partitions.
     pub fn timeout_count(&self) -> u64 {
-        self.backends
+        self.mechs
             .iter()
             .map(|m| m.stats().timeouts.load(Ordering::Relaxed))
             .sum()
@@ -811,7 +706,7 @@ impl SemLock {
         if p.free {
             return Ok(());
         }
-        if self.backends[p.part as usize].unlock(p.local) {
+        if self.mechs[p.part as usize].unlock(p.local) {
             Ok(())
         } else {
             self.poison();
@@ -832,7 +727,7 @@ impl SemLock {
             self.tele(t0, EventKind::Release, WaitCause::None, ctx, mode, 0);
             return Ok(());
         }
-        if self.backends[p.part as usize].unlock(p.local) {
+        if self.mechs[p.part as usize].unlock(p.local) {
             self.tele(t0, EventKind::Release, WaitCause::None, ctx, mode, 0);
             Ok(())
         } else {
@@ -855,7 +750,7 @@ impl SemLock {
     /// Releases refused because they would have underflowed a hold
     /// counter, summed over all partitions.
     pub fn underflow_count(&self) -> u64 {
-        self.backends
+        self.mechs
             .iter()
             .map(|m| m.stats().underflows.load(Ordering::Relaxed))
             .sum()
@@ -897,7 +792,7 @@ impl SemLock {
         mode: ModeId,
         p: &ModePlacement,
     ) -> bool {
-        let held = self.backends[p.part as usize].held_conflicting(&p.local_conflicts);
+        let held = self.mechs[p.part as usize].held_conflicting(&p.local_conflicts);
         for &local in &held {
             let other = self
                 .table
@@ -925,7 +820,7 @@ impl SemLock {
         if p.free {
             0
         } else {
-            self.backends[p.part as usize].count(p.local)
+            self.mechs[p.part as usize].count(p.local)
         }
     }
 
@@ -934,7 +829,7 @@ impl SemLock {
     pub fn contention(&self) -> (u64, u64) {
         let mut acq = 0;
         let mut cont = 0;
-        for m in self.backends.iter() {
+        for m in self.mechs.iter() {
             acq += m.stats().acquisitions.load(Ordering::Relaxed);
             cont += m.stats().contended.load(Ordering::Relaxed);
         }
@@ -949,7 +844,7 @@ impl std::fmt::Debug for SemLock {
             "SemLock#{} ({}, {} partitions)",
             self.id,
             self.table.schema().name(),
-            self.backends.len()
+            self.mechs.len()
         )
     }
 }

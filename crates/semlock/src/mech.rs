@@ -6,36 +6,23 @@
 //! acquire mode `l` only when no conflicting mode `l'` (one with
 //! `F_c(l, l') = false`) has a positive counter. The paper makes the
 //! check-and-increment atomic with "a short internal lock"; this module
-//! keeps that scheme as the *wide* fallback (and correctness oracle) but
-//! serves narrower partitions from a single admission word:
+//! keeps that scheme as the *wide* layout (and correctness oracle) but
+//! serves partitions of up to [`PACKED_MODE_LIMIT`] = 8 modes from a
+//! single *packed* `AtomicU64`: eight 7-bit hold-count fields plus a
+//! waiter-summary bit.
 //!
-//! * **packed** — up to [`PACKED_MODE_LIMIT`] = 8 modes in one
-//!   `AtomicU64`: eight 7-bit hold-count fields plus a waiter-summary
-//!   bit;
-//! * **Dwcas** — up to [`DWCAS_MODE_LIMIT`] = 16 modes in one
-//!   [`AtomicU128`]: sixteen 7-bit fields (bits 0..112) plus the
-//!   waiter-summary bit at bit 127, CASed with `lock cmpxchg16b` on
-//!   x86_64 (a portable spinlock fallback exists behind
-//!   `--no-default-features`; [`MechLayout::Auto`] only selects Dwcas
-//!   when the word is genuinely lock-free).
+//! Packed admission is a single CAS that checks the conflicting-mode mask
+//! and increments the local count in one try-update. Contended
+//! acquisitions park on a **claim-based lock-free waiter stack**
+//! ([`crate::stack`]) — no path of the packed layout ever takes the
+//! internal mutex, which serves the wide layout alone.
 //!
-//! Admission is a single (double-word) CAS that checks the
-//! conflicting-mode mask and increments the local count in one
-//! try-update. Contended acquisitions park on a **claim-based lock-free
-//! waiter stack** ([`crate::stack`]) — no path of the packed or Dwcas
-//! layouts ever takes the internal mutex, which now serves the wide
-//! fallback alone.
-//!
-//! ## Word layouts
+//! ## Word layout
 //!
 //! ```text
 //! packed (AtomicU64):
 //!   bit 63  bits 56..63    bits 49..56   ...   bits 7..14   bits 0..7
 //!   WAITERS (reserved)     count[7]            count[1]     count[0]
-//!
-//! Dwcas (AtomicU128):
-//!   bit 127  bits 112..127   bits 105..112  ...  bits 7..14  bits 0..7
-//!   WAITERS  (reserved)      count[15]           count[1]    count[0]
 //! ```
 //!
 //! Each count field is [`FIELD_BITS`] = 7 bits wide, so one mode supports
@@ -80,7 +67,7 @@
 //!   `goto start` loop, useful for the ablation benchmark.
 
 use crate::stack::WaiterStack;
-use crate::sync::{AtomicU128, AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
+use crate::sync::{AtomicU32, AtomicU64, Condvar, Mutex, Ordering};
 use std::time::{Duration, Instant};
 
 /// How acquirers wait for conflicting modes to drain.
@@ -95,34 +82,21 @@ pub enum WaitStrategy {
 
 /// Which counter representation a [`Mech`] uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-#[non_exhaustive]
 pub enum MechLayout {
     /// Pick automatically: packed when the partition has at most
-    /// [`PACKED_MODE_LIMIT`] modes, the 128-bit Dwcas word up to
-    /// [`DWCAS_MODE_LIMIT`] modes when the hardware serves it lock-free
-    /// ([`crate::dwcas::dwcas_available`]), wide otherwise.
+    /// [`PACKED_MODE_LIMIT`] modes, wide otherwise.
     #[default]
     Auto,
     /// Force the packed single-word representation (panics at construction
     /// if the partition is too wide).
     Packed,
-    /// Force the 128-bit double-word representation (panics at
-    /// construction if the partition exceeds [`DWCAS_MODE_LIMIT`] modes).
-    /// Works on every build — without the `dwcas` feature (or off
-    /// x86_64) it runs on the portable spinlock fallback.
-    Dwcas,
-    /// Force the counters-under-mutex fallback (used by the equivalence
-    /// tests and the A/B benchmark; never required for correctness).
+    /// Force the counters-under-mutex representation (the reference the
+    /// equivalence tests and the packed-vs-wide A/B compare against).
     Wide,
 }
 
 /// Largest partition the packed single-word representation can serve.
 pub const PACKED_MODE_LIMIT: usize = 8;
-
-/// Largest partition the 128-bit Dwcas representation can serve: sixteen
-/// 7-bit hold-count fields (bits 0..112) plus the waiter-summary region
-/// (bit 127).
-pub const DWCAS_MODE_LIMIT: usize = 16;
 
 /// Width of one packed hold-count field.
 pub const FIELD_BITS: u32 = 7;
@@ -131,16 +105,12 @@ pub const FIELD_BITS: u32 = 7;
 /// this park until a release frees capacity).
 pub const FIELD_MAX: u64 = (1 << FIELD_BITS) - 1;
 
-/// Waiter-summary bit of the packed (64-bit) word: set by a conflicted
+/// Waiter-summary bit of the packed word: set by a conflicted
 /// acquirer after pushing its node onto the waiter stack, observed by
 /// releasers in their own decrement CAS, cleared by the claimer before
 /// it claims. Public so the model checker (`crates/model`)
 /// instantiates the protocol over the exact production layout.
 pub const WAITERS_BIT: u64 = 1 << 63;
-
-/// Waiter-summary bit of the Dwcas (128-bit) word — same protocol as
-/// [`WAITERS_BIT`], top bit of the waiter-summary region (bits 112..128).
-pub const DWCAS_WAITERS_BIT: u128 = 1 << 127;
 
 /// The hand-audited memory orderings of the admission protocol, as named
 /// constants.
@@ -181,23 +151,6 @@ pub mod ordering {
     pub const PACKED_RELEASE_CAS_OK: Ordering = Ordering::Release;
     /// Packed release: failure ordering of the decrement CAS. Relaxed.
     pub const PACKED_RELEASE_CAS_FAIL: Ordering = Ordering::Relaxed;
-    /// Dwcas admission: initial word load seeding the CAS loop. Relaxed —
-    /// as in the packed layout, the CAS re-validates the whole word.
-    pub const DWCAS_ADMIT_LOAD: Ordering = Ordering::Relaxed;
-    /// Dwcas admission: success ordering of the admit CAS. Acquire —
-    /// pairs with [`DWCAS_RELEASE_CAS_OK`] exactly as in the packed
-    /// layout.
-    pub const DWCAS_ADMIT_CAS_OK: Ordering = Ordering::Acquire;
-    /// Dwcas admission: failure ordering of the admit CAS. Relaxed.
-    pub const DWCAS_ADMIT_CAS_FAIL: Ordering = Ordering::Relaxed;
-    /// Dwcas release: initial word load seeding the CAS loop. Relaxed.
-    pub const DWCAS_RELEASE_LOAD: Ordering = Ordering::Relaxed;
-    /// Dwcas release: success ordering of the decrement CAS. Release —
-    /// the same duty (and the same deliberately absent Acquire half) as
-    /// [`PACKED_RELEASE_CAS_OK`].
-    pub const DWCAS_RELEASE_CAS_OK: Ordering = Ordering::Release;
-    /// Dwcas release: failure ordering of the decrement CAS. Relaxed.
-    pub const DWCAS_RELEASE_CAS_FAIL: Ordering = Ordering::Relaxed;
     /// Waiter stack, push: seed load of the tagged head. Relaxed — the
     /// CAS re-validates.
     pub const STACK_PUSH_HEAD_LOAD: Ordering = Ordering::Relaxed;
@@ -342,43 +295,6 @@ pub const ORDERING_AUDIT: &[OrderingAuditEntry] = &[
     OrderingAuditEntry {
         site: "packed.release.cas_fail",
         ordering: ord::PACKED_RELEASE_CAS_FAIL,
-        mutant: None,
-        claim: "failed CAS only retries with the returned word",
-    },
-    OrderingAuditEntry {
-        site: "dwcas.admit.load",
-        ordering: ord::DWCAS_ADMIT_LOAD,
-        mutant: None,
-        claim: "seed load only; the CAS re-validates the whole word",
-    },
-    OrderingAuditEntry {
-        site: "dwcas.admit.cas_ok",
-        ordering: ord::DWCAS_ADMIT_CAS_OK,
-        mutant: Some(Ordering::Relaxed),
-        claim: "holder's critical-section writes happen-before a conflicting admitter's reads \
-                (128-bit layout)",
-    },
-    OrderingAuditEntry {
-        site: "dwcas.admit.cas_fail",
-        ordering: ord::DWCAS_ADMIT_CAS_FAIL,
-        mutant: None,
-        claim: "failed CAS only retries with the returned word",
-    },
-    OrderingAuditEntry {
-        site: "dwcas.release.load",
-        ordering: ord::DWCAS_RELEASE_LOAD,
-        mutant: None,
-        claim: "seed load only; the CAS re-validates the whole word",
-    },
-    OrderingAuditEntry {
-        site: "dwcas.release.cas_ok",
-        ordering: ord::DWCAS_RELEASE_CAS_OK,
-        mutant: Some(Ordering::Relaxed),
-        claim: "as packed.release.cas_ok, for the 128-bit layout",
-    },
-    OrderingAuditEntry {
-        site: "dwcas.release.cas_fail",
-        ordering: ord::DWCAS_RELEASE_CAS_FAIL,
         mutant: None,
         claim: "failed CAS only retries with the returned word",
     },
@@ -531,23 +447,6 @@ pub fn packed_conflict_mask(locals: &[u32]) -> u64 {
         .fold(0, |m, &c| m | (FIELD_MAX << field_shift(c)))
 }
 
-/// Extract a local mode's count field from a Dwcas word snapshot. The
-/// field math is the packed layout's, widened to sixteen fields.
-#[inline]
-pub fn dwcas_field_of(word: u128, local: u32) -> u128 {
-    (word >> field_shift(local)) & FIELD_MAX as u128
-}
-
-/// The Dwcas-word field mask covering the given conflicting local modes
-/// (`word & mask != 0` iff some conflicting mode has a positive count).
-/// Meaningful only for partitions within [`DWCAS_MODE_LIMIT`].
-pub fn dwcas_conflict_mask(locals: &[u32]) -> u128 {
-    locals
-        .iter()
-        .filter(|&&c| (c as usize) < DWCAS_MODE_LIMIT)
-        .fold(0, |m, &c| m | ((FIELD_MAX as u128) << field_shift(c)))
-}
-
 /// The conflict set of one mode: the local indices of the modes it does
 /// not commute with, plus the precomputed packed-word mask over them.
 ///
@@ -558,28 +457,21 @@ pub fn dwcas_conflict_mask(locals: &[u32]) -> u128 {
 pub struct ConflictSet<'a> {
     locals: &'a [u32],
     mask: u64,
-    mask128: u128,
 }
 
 impl<'a> ConflictSet<'a> {
-    /// Build a conflict set, computing both field masks from the locals.
+    /// Build a conflict set, computing the field mask from the locals.
     pub fn new(locals: &'a [u32]) -> ConflictSet<'a> {
         ConflictSet {
             locals,
             mask: packed_conflict_mask(locals),
-            mask128: dwcas_conflict_mask(locals),
         }
     }
 
     /// Rehydrate from parts precomputed at mode-table build time.
-    pub fn from_parts(locals: &'a [u32], mask: u64, mask128: u128) -> ConflictSet<'a> {
+    pub fn from_parts(locals: &'a [u32], mask: u64) -> ConflictSet<'a> {
         debug_assert_eq!(mask, packed_conflict_mask(locals));
-        debug_assert_eq!(mask128, dwcas_conflict_mask(locals));
-        ConflictSet {
-            locals,
-            mask,
-            mask128,
-        }
+        ConflictSet { locals, mask }
     }
 
     /// The conflicting local mode indices.
@@ -591,18 +483,12 @@ impl<'a> ConflictSet<'a> {
     pub fn mask(&self) -> u64 {
         self.mask
     }
-
-    /// The Dwcas-word field mask.
-    pub fn mask128(&self) -> u128 {
-        self.mask128
-    }
 }
 
 /// One member of a batched group admission: a local mode index plus its
 /// precomputed conflict set. A group is admitted **all-or-nothing**: every
 /// member's conflict check passes and every count increments, or no count
-/// changes at all (see [`Mech::try_lock_group`] and
-/// [`crate::admission::Admission::lock_group`]).
+/// changes at all (see [`Mech::try_lock_group`]).
 #[derive(Clone, Copy, Debug)]
 pub struct GroupRequest<'a> {
     /// Local mode index within the partition.
@@ -655,26 +541,23 @@ pub enum Wait {
 /// bounds detection latency without touching the uncontended path.
 pub const PROBE_INTERVAL: Duration = Duration::from_millis(2);
 
-/// The three counter representations (see the module docs).
+/// The two counter representations (see the module docs).
 enum Counts {
     /// All hold counts in one 64-bit word; admission is a lock-free CAS.
     Packed(AtomicU64),
-    /// All hold counts in one 128-bit word (sixteen 7-bit fields);
-    /// admission is a lock-free cmpxchg16b on the native path.
-    Dwcas(AtomicU128),
     /// One counter per mode; check-and-increment under the internal mutex
     /// (the paper's Fig. 20 scheme, kept for partitions wider than
-    /// [`DWCAS_MODE_LIMIT`]).
+    /// [`PACKED_MODE_LIMIT`]).
     Wide(Box<[AtomicU32]>),
 }
 
 /// One locking mechanism: the counters for the modes of one partition.
 pub struct Mech {
-    /// `C_l` of Fig. 20 in one of three representations.
+    /// `C_l` of Fig. 20 in one of two representations.
     counts: Counts,
     /// Serializes the **wide** representation's check-and-increment and
-    /// parks its conflicted waiters. The packed and Dwcas paths never
-    /// take it — contended or not, they go through `stack`.
+    /// parks its conflicted waiters. The packed path never
+    /// takes it — contended or not, they go through `stack`.
     internal: Mutex<()>,
     cond: Condvar,
     /// Number of threads currently parked on `cond` (wide representation
@@ -682,266 +565,155 @@ pub struct Mech {
     /// waits.
     waiters: AtomicU32,
     /// Claim-based waiter stack: the lock-free park/handoff path of the
-    /// packed and Dwcas representations.
+    /// packed representation.
     stack: WaiterStack,
     strategy: WaitStrategy,
     stats: MechStats,
 }
 
-/// The shared shape of the two lock-free admission words. Private: the
-/// packed (`AtomicU64`, eight 7-bit fields) and Dwcas (`AtomicU128`,
-/// sixteen 7-bit fields) layouts differ only in width, so the contended
-/// paths — `lock_stack_slow`, `lock_deadline_stack_slow`,
-/// `release_stack`, `handoff` — are written once, generically over this
-/// trait, and every memory-ordering claim is made (and model-checked)
-/// once per site rather than once per width.
-trait AdmitWord {
-    /// One lock-free admission attempt: check the conflict mask and
-    /// increment the local count in a single try-update. Returns `false`
-    /// if a conflicting mode is held (or the local field is saturated);
-    /// retries only on CAS contention, never on conflict.
-    fn try_admit(&self, local: u32, cs: ConflictSet<'_>) -> bool;
-    /// One combined lock-free admission attempt for several modes of this
-    /// partition: check the **union** of the members' conflict masks and
-    /// apply every increment in a single try-update — one CAS admits (or
-    /// refuses) the whole group, so a failed group leaves the word
-    /// untouched with nothing to roll back.
-    ///
-    /// Precondition (checked by the caller, [`Mech::try_lock_group_raw`]):
-    /// no member's mode appears in another member's conflict set —
-    /// mutually conflicting members must take the sequential fallback,
-    /// because the union-mask check runs against the pre-admission word
-    /// and would otherwise admit two modes that exclude each other.
-    fn try_admit_many(&self, members: &[GroupRequest<'_>]) -> bool;
-    /// Advisory conflict check — used by the spin strategy between
-    /// admission attempts.
-    fn conflicted(&self, local: u32, cs: ConflictSet<'_>) -> bool;
-    /// Set the waiter-summary bit and report whether the word the
-    /// `fetch_or` *returned* still shows a conflict. `false` means the
-    /// conflict drained before the bit landed — the caller self-admits
-    /// instead of parking (the releaser it raced never saw the bit).
-    fn summary_set_and_check(&self, local: u32, cs: ConflictSet<'_>) -> bool;
-    /// Clear the waiter-summary bit (handoff step 1, strictly before the
-    /// claim — a pusher's `fetch_or` ordered after this clear re-sets the
-    /// bit and nothing erases it again).
-    fn summary_clear(&self);
-    /// CAS-decrement the local field. `Some(had_waiters)` on success —
-    /// whether the pre-decrement word carried the summary bit — or `None`
-    /// on a refused underflow (double unlock).
-    fn release_decrement(&self, local: u32) -> Option<bool>;
-}
+// ----------------------------------------------------------------------
+// Packed-word operations. Every memory-ordering claim of the lock-free
+// admission protocol is made (and model-checked) once, here.
+// ----------------------------------------------------------------------
 
-impl AdmitWord for AtomicU64 {
-    #[inline]
-    fn try_admit(&self, local: u32, cs: ConflictSet<'_>) -> bool {
-        let one = 1u64 << field_shift(local);
-        // Ordering: the initial load may be Relaxed — admission is decided
-        // by the CAS below, which re-validates the whole word.
-        let mut cur = self.load(ord::PACKED_ADMIT_LOAD);
-        loop {
-            if cur & cs.mask != 0 || field_of(cur, local) == FIELD_MAX {
-                return false;
-            }
-            // Ordering: Acquire on success pairs with the Release
-            // decrement in `release_decrement` — reading a word in which every
-            // conflicting count is zero happens-after the data writes of
-            // the holders that released them, so the critical section
-            // cannot observe torn state. Failure needs no ordering: we
-            // only retry. (Audited: `packed.admit.cas_ok`.)
-            match self.compare_exchange_weak(
-                cur,
-                cur + one,
-                ord::PACKED_ADMIT_CAS_OK,
-                ord::PACKED_ADMIT_CAS_FAIL,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
+/// One lock-free admission attempt: check the conflict mask and
+/// increment the local count in a single try-update. Returns `false`
+/// if a conflicting mode is held (or the local field is saturated);
+/// retries only on CAS contention, never on conflict.
+#[inline]
+fn try_admit(word: &AtomicU64, local: u32, cs: ConflictSet<'_>) -> bool {
+    let one = 1u64 << field_shift(local);
+    // Ordering: the initial load may be Relaxed — admission is decided
+    // by the CAS below, which re-validates the whole word.
+    let mut cur = word.load(ord::PACKED_ADMIT_LOAD);
+    loop {
+        if cur & cs.mask != 0 || field_of(cur, local) == FIELD_MAX {
+            return false;
         }
-    }
-
-    fn try_admit_many(&self, members: &[GroupRequest<'_>]) -> bool {
-        let mut mask = 0u64;
-        let mut add = 0u64;
-        for m in members {
-            mask |= m.cs.mask;
-            add += 1u64 << field_shift(m.local);
-        }
-        // Ordering: as `try_admit` — the CAS re-validates the whole word.
-        let mut cur = self.load(ord::PACKED_ADMIT_LOAD);
-        loop {
-            if cur & mask != 0 {
-                return false;
-            }
-            // Saturation: each member's field must hold its requested
-            // increments (duplicate locals are legal and sum).
-            for m in members {
-                let want = members.iter().filter(|x| x.local == m.local).count() as u64;
-                if field_of(cur, m.local) + want > FIELD_MAX {
-                    return false;
-                }
-            }
-            // Ordering: the same Acquire/Relaxed pair as the single-mode
-            // admit CAS — one successful CAS publishes every member's
-            // admission at once. (Audited: `packed.admit.cas_ok`.)
-            match self.compare_exchange_weak(
-                cur,
-                cur + add,
-                ord::PACKED_ADMIT_CAS_OK,
-                ord::PACKED_ADMIT_CAS_FAIL,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    #[inline]
-    fn conflicted(&self, local: u32, cs: ConflictSet<'_>) -> bool {
-        let cur = self.load(Ordering::Relaxed);
-        cur & cs.mask != 0 || field_of(cur, local) == FIELD_MAX
-    }
-
-    fn summary_set_and_check(&self, local: u32, cs: ConflictSet<'_>) -> bool {
-        // Ordering: Release — the caller's node push (a Release CAS) is
-        // program-ordered before this RMW, so a releaser whose decrement
-        // reads this bit (directly or through the word's release
-        // sequence) also acquires the pushed node when it claims.
-        // (Audited: `stack.summary.fetch_or`.)
-        let ret = self.fetch_or(WAITERS_BIT, ord::STACK_SUMMARY_FETCH_OR);
-        ret & cs.mask != 0 || field_of(ret, local) == FIELD_MAX
-    }
-
-    fn summary_clear(&self) {
-        // Ordering: Acquire — joins the view of every pusher whose
-        // `fetch_or` this RMW follows in the word's modification order,
-        // coherence-bounding the claim below so it cannot read a head
-        // older than those pushes. (Audited: `stack.summary.clear`.)
-        self.fetch_and(!WAITERS_BIT, ord::STACK_SUMMARY_CLEAR);
-    }
-
-    fn release_decrement(&self, local: u32) -> Option<bool> {
-        let one = 1u64 << field_shift(local);
-        let mut cur = self.load(ord::PACKED_RELEASE_LOAD);
-        loop {
-            if field_of(cur, local) == 0 {
-                return None;
-            }
-            // Ordering: Release — pairs with the Acquire admission CAS
-            // (data written under the mode is visible to the next
-            // conflicting admitter). No Acquire half: the view join that
-            // lets the claim find every counted pusher's node happens at
-            // the handoff's Acquire summary clear. The subtraction cannot
-            // borrow out of the field — it was checked non-zero on this
-            // very value — so neighbouring counts and the summary bit
-            // pass through untouched. (Audited: `packed.release.cas_ok`.)
-            match self.compare_exchange_weak(
-                cur,
-                cur - one,
-                ord::PACKED_RELEASE_CAS_OK,
-                ord::PACKED_RELEASE_CAS_FAIL,
-            ) {
-                Ok(prev) => return Some(prev & WAITERS_BIT != 0),
-                Err(actual) => cur = actual,
-            }
+        // Ordering: Acquire on success pairs with the Release
+        // decrement in `release_decrement` — reading a word in which every
+        // conflicting count is zero happens-after the data writes of
+        // the holders that released them, so the critical section
+        // cannot observe torn state. Failure needs no ordering: we
+        // only retry. (Audited: `packed.admit.cas_ok`.)
+        match word.compare_exchange_weak(
+            cur,
+            cur + one,
+            ord::PACKED_ADMIT_CAS_OK,
+            ord::PACKED_ADMIT_CAS_FAIL,
+        ) {
+            Ok(_) => return true,
+            Err(actual) => cur = actual,
         }
     }
 }
 
-impl AdmitWord for AtomicU128 {
-    #[inline]
-    fn try_admit(&self, local: u32, cs: ConflictSet<'_>) -> bool {
-        let one = 1u128 << field_shift(local);
-        // Ordering: as in the packed impl — the CAS re-validates.
-        let mut cur = self.load(ord::DWCAS_ADMIT_LOAD);
-        loop {
-            if cur & cs.mask128 != 0 || dwcas_field_of(cur, local) == FIELD_MAX as u128 {
-                return false;
-            }
-            // Ordering: Acquire on success, pairing with the Release
-            // decrement below — same claim as `packed.admit.cas_ok`.
-            // (Audited: `dwcas.admit.cas_ok`.)
-            match self.compare_exchange_weak(
-                cur,
-                cur + one,
-                ord::DWCAS_ADMIT_CAS_OK,
-                ord::DWCAS_ADMIT_CAS_FAIL,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
+/// One combined lock-free admission attempt for several modes of this
+/// partition: check the **union** of the members' conflict masks and
+/// apply every increment in a single try-update — one CAS admits (or
+/// refuses) the whole group, so a failed group leaves the word
+/// untouched with nothing to roll back.
+///
+/// Precondition (checked by the caller, [`Mech::try_lock_group`]):
+/// no member's mode appears in another member's conflict set —
+/// mutually conflicting members must take the sequential fallback,
+/// because the union-mask check runs against the pre-admission word
+/// and would otherwise admit two modes that exclude each other.
+fn try_admit_many(word: &AtomicU64, members: &[GroupRequest<'_>]) -> bool {
+    let mut mask = 0u64;
+    let mut add = 0u64;
+    for m in members {
+        mask |= m.cs.mask;
+        add += 1u64 << field_shift(m.local);
     }
-
-    fn try_admit_many(&self, members: &[GroupRequest<'_>]) -> bool {
-        let mut mask = 0u128;
-        let mut add = 0u128;
+    // Ordering: as `try_admit` — the CAS re-validates the whole word.
+    let mut cur = word.load(ord::PACKED_ADMIT_LOAD);
+    loop {
+        if cur & mask != 0 {
+            return false;
+        }
+        // Saturation: each member's field must hold its requested
+        // increments (duplicate locals are legal and sum).
         for m in members {
-            mask |= m.cs.mask128;
-            add += 1u128 << field_shift(m.local);
-        }
-        // Ordering: as the packed impl — one cmpxchg16b admits the group.
-        let mut cur = self.load(ord::DWCAS_ADMIT_LOAD);
-        loop {
-            if cur & mask != 0 {
+            let want = members.iter().filter(|x| x.local == m.local).count() as u64;
+            if field_of(cur, m.local) + want > FIELD_MAX {
                 return false;
             }
-            for m in members {
-                let want = members.iter().filter(|x| x.local == m.local).count() as u128;
-                if dwcas_field_of(cur, m.local) + want > FIELD_MAX as u128 {
-                    return false;
-                }
-            }
-            // (Audited: `dwcas.admit.cas_ok`.)
-            match self.compare_exchange_weak(
-                cur,
-                cur + add,
-                ord::DWCAS_ADMIT_CAS_OK,
-                ord::DWCAS_ADMIT_CAS_FAIL,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
+        }
+        // Ordering: the same Acquire/Relaxed pair as the single-mode
+        // admit CAS — one successful CAS publishes every member's
+        // admission at once. (Audited: `packed.admit.cas_ok`.)
+        match word.compare_exchange_weak(
+            cur,
+            cur + add,
+            ord::PACKED_ADMIT_CAS_OK,
+            ord::PACKED_ADMIT_CAS_FAIL,
+        ) {
+            Ok(_) => return true,
+            Err(actual) => cur = actual,
         }
     }
+}
 
-    #[inline]
-    fn conflicted(&self, local: u32, cs: ConflictSet<'_>) -> bool {
-        let cur = self.load(Ordering::Relaxed);
-        cur & cs.mask128 != 0 || dwcas_field_of(cur, local) == FIELD_MAX as u128
-    }
+/// Advisory conflict check — used by the spin strategy between
+/// admission attempts.
+#[inline]
+fn conflicted(word: &AtomicU64, local: u32, cs: ConflictSet<'_>) -> bool {
+    let cur = word.load(Ordering::Relaxed);
+    cur & cs.mask != 0 || field_of(cur, local) == FIELD_MAX
+}
 
-    fn summary_set_and_check(&self, local: u32, cs: ConflictSet<'_>) -> bool {
-        // Ordering: Release — same claim as the packed impl. (Audited:
-        // `stack.summary.fetch_or`.)
-        let ret = self.fetch_or(DWCAS_WAITERS_BIT, ord::STACK_SUMMARY_FETCH_OR);
-        ret & cs.mask128 != 0 || dwcas_field_of(ret, local) == FIELD_MAX as u128
-    }
+/// Set the waiter-summary bit and report whether the word the
+/// `fetch_or` *returned* still shows a conflict. `false` means the
+/// conflict drained before the bit landed — the caller self-admits
+/// instead of parking (the releaser it raced never saw the bit).
+fn summary_set_and_check(word: &AtomicU64, local: u32, cs: ConflictSet<'_>) -> bool {
+    // Ordering: Release — the caller's node push (a Release CAS) is
+    // program-ordered before this RMW, so a releaser whose decrement
+    // reads this bit (directly or through the word's release
+    // sequence) also acquires the pushed node when it claims.
+    // (Audited: `stack.summary.fetch_or`.)
+    let ret = word.fetch_or(WAITERS_BIT, ord::STACK_SUMMARY_FETCH_OR);
+    ret & cs.mask != 0 || field_of(ret, local) == FIELD_MAX
+}
 
-    fn summary_clear(&self) {
-        // Ordering: Acquire — same claim as the packed impl. (Audited:
-        // `stack.summary.clear`.)
-        self.fetch_and(!DWCAS_WAITERS_BIT, ord::STACK_SUMMARY_CLEAR);
-    }
+/// Clear the waiter-summary bit (handoff step 1, strictly before the
+/// claim — a pusher's `fetch_or` ordered after this clear re-sets the
+/// bit and nothing erases it again).
+fn summary_clear(word: &AtomicU64) {
+    // Ordering: Acquire — joins the view of every pusher whose
+    // `fetch_or` this RMW follows in the word's modification order,
+    // coherence-bounding the claim below so it cannot read a head
+    // older than those pushes. (Audited: `stack.summary.clear`.)
+    word.fetch_and(!WAITERS_BIT, ord::STACK_SUMMARY_CLEAR);
+}
 
-    fn release_decrement(&self, local: u32) -> Option<bool> {
-        let one = 1u128 << field_shift(local);
-        let mut cur = self.load(ord::DWCAS_RELEASE_LOAD);
-        loop {
-            if dwcas_field_of(cur, local) == 0 {
-                return None;
-            }
-            // Ordering: Release — same claim as `packed.release.cas_ok`.
-            // (Audited: `dwcas.release.cas_ok`.)
-            match self.compare_exchange_weak(
-                cur,
-                cur - one,
-                ord::DWCAS_RELEASE_CAS_OK,
-                ord::DWCAS_RELEASE_CAS_FAIL,
-            ) {
-                Ok(prev) => return Some(prev & DWCAS_WAITERS_BIT != 0),
-                Err(actual) => cur = actual,
-            }
+/// CAS-decrement the local field. `Some(had_waiters)` on success —
+/// whether the pre-decrement word carried the summary bit — or `None`
+/// on a refused underflow (double unlock).
+fn release_decrement(word: &AtomicU64, local: u32) -> Option<bool> {
+    let one = 1u64 << field_shift(local);
+    let mut cur = word.load(ord::PACKED_RELEASE_LOAD);
+    loop {
+        if field_of(cur, local) == 0 {
+            return None;
+        }
+        // Ordering: Release — pairs with the Acquire admission CAS
+        // (data written under the mode is visible to the next
+        // conflicting admitter). No Acquire half: the view join that
+        // lets the claim find every counted pusher's node happens at
+        // the handoff's Acquire summary clear. The subtraction cannot
+        // borrow out of the field — it was checked non-zero on this
+        // very value — so neighbouring counts and the summary bit
+        // pass through untouched. (Audited: `packed.release.cas_ok`.)
+        match word.compare_exchange_weak(
+            cur,
+            cur - one,
+            ord::PACKED_RELEASE_CAS_OK,
+            ord::PACKED_RELEASE_CAS_FAIL,
+        ) {
+            Ok(prev) => return Some(prev & WAITERS_BIT != 0),
+            Err(actual) => cur = actual,
         }
     }
 }
@@ -961,12 +733,6 @@ impl Mech {
             MechLayout::Auto => {
                 if modes <= PACKED_MODE_LIMIT {
                     Counts::Packed(AtomicU64::new(0))
-                } else if modes <= DWCAS_MODE_LIMIT && crate::dwcas::dwcas_available() {
-                    // Auto picks Dwcas only when the 128-bit word is
-                    // genuinely lock-free on this build+machine; a
-                    // spinlocked fallback word would be strictly worse
-                    // than the wide mutex path it replaces.
-                    Counts::Dwcas(AtomicU128::new(0))
                 } else {
                     wide()
                 }
@@ -977,17 +743,6 @@ impl Mech {
                     "packed layout supports at most {PACKED_MODE_LIMIT} modes, got {modes}"
                 );
                 Counts::Packed(AtomicU64::new(0))
-            }
-            MechLayout::Dwcas => {
-                assert!(
-                    modes <= DWCAS_MODE_LIMIT,
-                    "dwcas layout supports at most {DWCAS_MODE_LIMIT} modes, got {modes}"
-                );
-                // Forced Dwcas works on any build: without the `dwcas`
-                // feature (or cmpxchg16b) the word is a spinlocked u128 —
-                // correct, just not lock-free. CI's no-default-features
-                // job runs the whole suite through that fallback.
-                Counts::Dwcas(AtomicU128::new(0))
             }
             MechLayout::Wide => wide(),
         };
@@ -1006,17 +761,15 @@ impl Mech {
     pub fn layout(&self) -> MechLayout {
         match self.counts {
             Counts::Packed(_) => MechLayout::Packed,
-            Counts::Dwcas(_) => MechLayout::Dwcas,
             Counts::Wide(_) => MechLayout::Wide,
         }
     }
 
-    /// Is the waiter-summary bit (packed/Dwcas) or waiter count (wide)
+    /// Is the waiter-summary bit (packed) or waiter count (wide)
     /// currently published? Diagnostics/tests only — racy by nature.
     pub fn waiter_summary(&self) -> bool {
         match &self.counts {
             Counts::Packed(word) => word.load(Ordering::Relaxed) & WAITERS_BIT != 0,
-            Counts::Dwcas(word) => word.load(Ordering::Relaxed) & DWCAS_WAITERS_BIT != 0,
             Counts::Wide(_) => self.waiters.load(Ordering::Relaxed) > 0,
         }
     }
@@ -1028,7 +781,7 @@ impl Mech {
     }
 
     // ------------------------------------------------------------------
-    // Lock-free contended paths (packed and Dwcas, generic over the word)
+    // Lock-free contended paths (packed word)
     // ------------------------------------------------------------------
 
     /// Claim-based handoff, run by a releaser whose decrement observed
@@ -1054,16 +807,16 @@ impl Mech {
     /// republish sees no bit and no batch, and the republish itself can
     /// be the final word op — the model checker found both.)
     #[cold]
-    fn handoff<W: AdmitWord>(&self, word: &W) {
-        word.summary_clear();
+    fn handoff(&self, word: &AtomicU64) {
+        summary_clear(word);
         self.stack.claim().wake_all();
     }
 
     /// Lock-free release: CAS-decrement the local count (refusing
     /// underflow without disturbing neighbouring fields), then hand off
     /// wakeups if the word carried the waiter-summary bit.
-    fn release_stack<W: AdmitWord>(&self, word: &W, local: u32) -> bool {
-        match word.release_decrement(local) {
+    fn release_stack(&self, word: &AtomicU64, local: u32) -> bool {
+        match release_decrement(word, local) {
             Some(had_waiters) => {
                 if had_waiters {
                     self.handoff(word);
@@ -1079,8 +832,8 @@ impl Mech {
 
     /// Blocking acquisition over a lock-free admission word.
     #[inline]
-    fn lock_stack<W: AdmitWord>(&self, word: &W, local: u32, cs: ConflictSet<'_>) -> bool {
-        if word.try_admit(local, cs) {
+    fn lock_stack(&self, word: &AtomicU64, local: u32, cs: ConflictSet<'_>) -> bool {
+        if try_admit(word, local, cs) {
             false
         } else {
             self.lock_stack_slow(word, local, cs)
@@ -1094,7 +847,7 @@ impl Mech {
     /// the race. Outlined so the uncontended `lock` body stays small
     /// enough to inline.
     #[cold]
-    fn lock_stack_slow<W: AdmitWord>(&self, word: &W, local: u32, cs: ConflictSet<'_>) -> bool {
+    fn lock_stack_slow(&self, word: &AtomicU64, local: u32, cs: ConflictSet<'_>) -> bool {
         let mut waited = false;
         let node = self.stack.alloc();
         loop {
@@ -1110,12 +863,12 @@ impl Mech {
             // conflict drained, and we self-admit instead of parking.
             // (Our node stays behind as a stale entry the next claim
             // sweeps.)
-            if !word.summary_set_and_check(local, cs) && word.try_admit(local, cs) {
+            if !summary_set_and_check(word, local, cs) && try_admit(word, local, cs) {
                 break;
             }
             waited = true;
             node.park();
-            if word.try_admit(local, cs) {
+            if try_admit(word, local, cs) {
                 break;
             }
         }
@@ -1123,14 +876,14 @@ impl Mech {
     }
 
     /// Spinning acquisition over a lock-free admission word.
-    fn lock_spin<W: AdmitWord>(word: &W, local: u32, cs: ConflictSet<'_>) -> bool {
+    fn lock_spin(word: &AtomicU64, local: u32, cs: ConflictSet<'_>) -> bool {
         let mut waited = false;
         loop {
-            if word.try_admit(local, cs) {
+            if try_admit(word, local, cs) {
                 break;
             }
             waited = true;
-            while word.conflicted(local, cs) {
+            while conflicted(word, local, cs) {
                 std::hint::spin_loop();
             }
         }
@@ -1138,16 +891,16 @@ impl Mech {
     }
 
     /// Bounded blocking acquisition over a lock-free admission word.
-    fn lock_deadline_stack<W: AdmitWord>(
+    fn lock_deadline_stack(
         &self,
-        word: &W,
+        word: &AtomicU64,
         local: u32,
         cs: ConflictSet<'_>,
         deadline: Instant,
         probe: &mut dyn FnMut() -> Wait,
         waited: &mut bool,
     ) -> Acquire {
-        if word.try_admit(local, cs) {
+        if try_admit(word, local, cs) {
             Acquire::Acquired
         } else if Instant::now() >= deadline {
             // Already-expired deadline: fail fast without allocating or
@@ -1165,9 +918,9 @@ impl Mech {
     /// [`Mech::lock_stack_slow`], parking in [`PROBE_INTERVAL`] slices
     /// with deadline checks and watchdog probes between slices.
     #[cold]
-    fn lock_deadline_stack_slow<W: AdmitWord>(
+    fn lock_deadline_stack_slow(
         &self,
-        word: &W,
+        word: &AtomicU64,
         local: u32,
         cs: ConflictSet<'_>,
         deadline: Instant,
@@ -1178,7 +931,7 @@ impl Mech {
         'episode: loop {
             node.prepare();
             self.stack.push(&node);
-            if !word.summary_set_and_check(local, cs) && word.try_admit(local, cs) {
+            if !summary_set_and_check(word, local, cs) && try_admit(word, local, cs) {
                 break Acquire::Acquired;
             }
             loop {
@@ -1186,7 +939,7 @@ impl Mech {
                 if now >= deadline {
                     // Admission still wins over an expired deadline — one
                     // last admit try before giving up.
-                    break 'episode if word.try_admit(local, cs) {
+                    break 'episode if try_admit(word, local, cs) {
                         Acquire::Acquired
                     } else {
                         Acquire::TimedOut
@@ -1198,7 +951,7 @@ impl Mech {
                     // Handoff received: the claimer removed our node, so
                     // admission failure means a rival won — start a fresh
                     // episode with a re-push.
-                    if word.try_admit(local, cs) {
+                    if try_admit(word, local, cs) {
                         break 'episode Acquire::Acquired;
                     }
                     continue 'episode;
@@ -1208,7 +961,7 @@ impl Mech {
                 // (Only a notified wake may re-push; that guarantees
                 // every re-push happens after the claimer's next-pointer
                 // read, which is what keeps the chain walk sound.)
-                if word.try_admit(local, cs) {
+                if try_admit(word, local, cs) {
                     break 'episode Acquire::Acquired;
                 }
                 // Deadline before probe: the watchdog's graph scan must
@@ -1224,8 +977,8 @@ impl Mech {
     }
 
     /// Bounded spinning acquisition over a lock-free admission word.
-    fn lock_deadline_spin<W: AdmitWord>(
-        word: &W,
+    fn lock_deadline_spin(
+        word: &AtomicU64,
         local: u32,
         cs: ConflictSet<'_>,
         deadline: Instant,
@@ -1233,12 +986,12 @@ impl Mech {
         waited: &mut bool,
     ) -> Acquire {
         'outer: loop {
-            if word.try_admit(local, cs) {
+            if try_admit(word, local, cs) {
                 break Acquire::Acquired;
             }
             let mut backoff: u32 = 1;
             let mut next_probe = Instant::now() + PROBE_INTERVAL;
-            while word.conflicted(local, cs) {
+            while conflicted(word, local, cs) {
                 *waited = true;
                 let now = Instant::now();
                 if now >= deadline {
@@ -1295,24 +1048,21 @@ impl Mech {
     /// (used by the telemetry layer to classify the admission; ignorable
     /// otherwise).
     pub fn lock(&self, local: u32, cs: ConflictSet<'_>) -> bool {
-        let waited = self.lock_raw(local, cs);
+        let waited = match (&self.counts, self.strategy) {
+            (Counts::Packed(word), WaitStrategy::Block) => self.lock_stack(word, local, cs),
+            (Counts::Packed(word), WaitStrategy::Spin) => Self::lock_spin(word, local, cs),
+            (Counts::Wide(counts), _) => self.lock_wide(counts, local, cs),
+        };
         self.note_acquired(waited);
         waited
     }
 
-    /// [`Mech::lock`] without the statistics update. The optimistic
-    /// hybrid backend ([`crate::admission::OptimisticHybridBackend`])
-    /// runs its own lock-free probes before falling back to this path
-    /// and must count the whole composite acquisition exactly once, so
-    /// the core and the accounting are split: every public entry point
-    /// pairs one `_raw` call with one `note_*` call.
-    pub(crate) fn lock_raw(&self, local: u32, cs: ConflictSet<'_>) -> bool {
-        match (&self.counts, self.strategy) {
-            (Counts::Packed(word), WaitStrategy::Block) => self.lock_stack(word, local, cs),
-            (Counts::Packed(word), WaitStrategy::Spin) => Self::lock_spin(word, local, cs),
-            (Counts::Dwcas(word), WaitStrategy::Block) => self.lock_stack(word, local, cs),
-            (Counts::Dwcas(word), WaitStrategy::Spin) => Self::lock_spin(word, local, cs),
-            (Counts::Wide(counts), WaitStrategy::Block) => {
+    /// Blocking acquisition on the wide layout: check-and-increment under
+    /// the internal mutex (Fig. 20), parking on its condvar or spinning
+    /// per the wait strategy.
+    fn lock_wide(&self, counts: &[AtomicU32], local: u32, cs: ConflictSet<'_>) -> bool {
+        match self.strategy {
+            WaitStrategy::Block => {
                 let mut waited = false;
                 let mut guard = self.internal.lock();
                 loop {
@@ -1340,7 +1090,7 @@ impl Mech {
                 drop(guard);
                 waited
             }
-            (Counts::Wide(counts), WaitStrategy::Spin) => {
+            WaitStrategy::Spin => {
                 let mut waited = false;
                 loop {
                     // Optimistic pre-check outside the internal lock
@@ -1363,35 +1113,18 @@ impl Mech {
         }
     }
 
-    /// Record one successful acquisition in [`MechStats`]. Paired with
-    /// exactly one `*_raw` core call by every entry point (see
-    /// [`Mech::lock_raw`]).
+    /// Record one successful acquisition in [`MechStats`].
     #[inline]
-    pub(crate) fn note_acquired(&self, waited: bool) {
+    fn note_acquired(&self, waited: bool) {
         self.stats.acquisitions.fetch_add(1, Ordering::Relaxed);
         if waited {
             self.stats.contended.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Record the outcome of a bounded acquisition in [`MechStats`]:
-    /// `Acquired` counts an acquisition (plus a contended one if
-    /// `waited`), `TimedOut` counts a timeout, `Abandoned` counts
-    /// nothing (the watchdog's own accounting covers aborts).
-    #[inline]
-    pub(crate) fn note_outcome(&self, outcome: Acquire, waited: bool) {
-        match outcome {
-            Acquire::Acquired => self.note_acquired(waited),
-            Acquire::TimedOut => {
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-            }
-            Acquire::Abandoned => {}
-        }
-    }
-
     /// Try to acquire without waiting; returns whether the mode was taken.
     ///
-    /// Side-effect-free on failure for the packed and Dwcas layouts: a
+    /// Side-effect-free on failure for the packed layout: a
     /// failed probe is exactly one failed CAS — it never pushes a waiter
     /// node and never touches the waiter-summary bit, so it cannot make a
     /// release take the handoff path or wake an unrelated parked waiter
@@ -1405,12 +1138,11 @@ impl Mech {
         taken
     }
 
-    /// [`Mech::try_lock`] without the statistics update — see
-    /// [`Mech::lock_raw`] for why the core and the accounting are split.
-    pub(crate) fn try_lock_raw(&self, local: u32, cs: ConflictSet<'_>) -> bool {
+    /// [`Mech::try_lock`] without the statistics update: the group
+    /// paths count whole admitted groups instead of single members.
+    fn try_lock_raw(&self, local: u32, cs: ConflictSet<'_>) -> bool {
         match &self.counts {
-            Counts::Packed(word) => word.try_admit(local, cs),
-            Counts::Dwcas(word) => word.try_admit(local, cs),
+            Counts::Packed(word) => try_admit(word, local, cs),
             Counts::Wide(counts) => {
                 let guard = self.internal.lock();
                 if Self::conflicted_wide(counts, cs) {
@@ -1429,7 +1161,7 @@ impl Mech {
     /// partition. Never blocks. Returns whether the whole group was
     /// admitted; on `false` **no member remains admitted**.
     ///
-    /// On the packed and Dwcas layouts a group whose members do not
+    /// On the packed layout a group whose members do not
     /// mutually conflict is admitted (or refused) by **one CAS** over the
     /// union of the members' conflict masks — a failed group costs one
     /// failed CAS and leaves nothing to roll back, exactly like
@@ -1444,7 +1176,11 @@ impl Mech {
     /// Statistics: `members.len()` acquisitions on success, nothing on
     /// failure (a rolled-back partial admission is not an acquisition).
     pub fn try_lock_group(&self, members: &[GroupRequest<'_>]) -> bool {
-        let taken = self.try_lock_group_raw(members);
+        let taken = match members {
+            [] => true,
+            [m] => self.try_lock_raw(m.local, m.cs),
+            _ => self.try_lock_group_many(members),
+        };
         if taken {
             self.stats
                 .acquisitions
@@ -1453,14 +1189,8 @@ impl Mech {
         taken
     }
 
-    /// [`Mech::try_lock_group`] without the statistics update — see
-    /// [`Mech::lock_raw`] for why the core and the accounting are split.
-    pub(crate) fn try_lock_group_raw(&self, members: &[GroupRequest<'_>]) -> bool {
-        match members {
-            [] => return true,
-            [m] => return self.try_lock_raw(m.local, m.cs),
-            _ => {}
-        }
+    /// Uncounted admission of a group of two or more members.
+    fn try_lock_group_many(&self, members: &[GroupRequest<'_>]) -> bool {
         // The combined-CAS fast path checks the union mask against the
         // pre-admission word, so it is only sound when no member's mode
         // appears in another member's conflict set (a group may not
@@ -1474,14 +1204,13 @@ impl Mech {
                 .any(|(j, b)| i != j && a.cs.locals().contains(&b.local))
         });
         match (&self.counts, mutual) {
-            (Counts::Packed(word), false) => word.try_admit_many(members),
-            (Counts::Dwcas(word), false) => word.try_admit_many(members),
+            (Counts::Packed(word), false) => try_admit_many(word, members),
             _ => self.try_lock_group_seq(members),
         }
     }
 
     /// Sequential group admission with reverse-order rollback: the loop
-    /// fallback behind [`Mech::try_lock_group_raw`] (wide layout, or
+    /// fallback behind [`Mech::try_lock_group`] (wide layout, or
     /// mutually conflicting members on any layout).
     fn try_lock_group_seq(&self, members: &[GroupRequest<'_>]) -> bool {
         for (i, m) in members.iter().enumerate() {
@@ -1518,15 +1247,23 @@ impl Mech {
         probe: &mut dyn FnMut() -> Wait,
     ) -> Acquire {
         let mut waited = false;
-        let outcome = self.lock_deadline_raw(local, cs, deadline, probe, &mut waited);
-        self.note_outcome(outcome, waited);
+        let outcome = self.lock_deadline_uncounted(local, cs, deadline, probe, &mut waited);
+        // `Acquired` counts an acquisition (plus a contended one if it
+        // waited), `TimedOut` a timeout; `Abandoned` counts nothing (the
+        // watchdog's own accounting covers aborts).
+        match outcome {
+            Acquire::Acquired => self.note_acquired(waited),
+            Acquire::TimedOut => {
+                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+            }
+            Acquire::Abandoned => {}
+        }
         outcome
     }
 
-    /// [`Mech::lock_deadline`] without the statistics update — see
-    /// [`Mech::lock_raw`] for why the core and the accounting are split.
-    /// `waited` is OR-ed with whether this call had to wait.
-    pub(crate) fn lock_deadline_raw(
+    /// The waiting core of [`Mech::lock_deadline`]; `waited` is set when
+    /// the call had to wait.
+    fn lock_deadline_uncounted(
         &self,
         local: u32,
         cs: ConflictSet<'_>,
@@ -1539,12 +1276,6 @@ impl Mech {
                 self.lock_deadline_stack(word, local, cs, deadline, probe, waited)
             }
             (Counts::Packed(word), WaitStrategy::Spin) => {
-                Self::lock_deadline_spin(word, local, cs, deadline, probe, waited)
-            }
-            (Counts::Dwcas(word), WaitStrategy::Block) => {
-                self.lock_deadline_stack(word, local, cs, deadline, probe, waited)
-            }
-            (Counts::Dwcas(word), WaitStrategy::Spin) => {
                 Self::lock_deadline_spin(word, local, cs, deadline, probe, waited)
             }
             (Counts::Wide(counts), WaitStrategy::Block) => {
@@ -1651,7 +1382,6 @@ impl Mech {
     pub fn unlock(&self, local: u32) -> bool {
         match &self.counts {
             Counts::Packed(word) => self.release_stack(word, local),
-            Counts::Dwcas(word) => self.release_stack(word, local),
             Counts::Wide(counts) => {
                 // Checked decrement via CAS, mirroring the packed path: a
                 // double unlock is refused without ever publishing a
@@ -1714,14 +1444,6 @@ impl Mech {
                     .filter(|&c| field_of(cur, c) > 0)
                     .collect()
             }
-            Counts::Dwcas(word) => {
-                let cur = word.load(Ordering::Relaxed);
-                conflicts
-                    .iter()
-                    .copied()
-                    .filter(|&c| dwcas_field_of(cur, c) > 0)
-                    .collect()
-            }
             Counts::Wide(counts) => conflicts
                 .iter()
                 .copied()
@@ -1738,7 +1460,6 @@ impl Mech {
     pub fn count(&self, local: u32) -> u32 {
         match &self.counts {
             Counts::Packed(word) => field_of(word.load(Ordering::Acquire), local) as u32,
-            Counts::Dwcas(word) => dwcas_field_of(word.load(Ordering::Acquire), local) as u32,
             Counts::Wide(counts) => counts[local as usize].load(Ordering::Acquire),
         }
     }
@@ -1752,13 +1473,6 @@ impl Mech {
                 let cur = word.load(Ordering::Acquire);
                 (0..PACKED_MODE_LIMIT as u32)
                     .map(|l| field_of(cur, l))
-                    .sum()
-            }
-            Counts::Dwcas(word) => {
-                // Ordering: Acquire, as in `count`.
-                let cur = word.load(Ordering::Acquire);
-                (0..DWCAS_MODE_LIMIT as u32)
-                    .map(|l| dwcas_field_of(cur, l) as u64)
                     .sum()
             }
             Counts::Wide(counts) => counts
@@ -1781,12 +1495,10 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    /// Every test below runs against all three representations: the
-    /// packed single-word fast path, the 128-bit Dwcas word (native or
-    /// portable fallback, whichever this build carries), and the wide
-    /// counters-under-mutex fallback.
-    fn layouts() -> [MechLayout; 3] {
-        [MechLayout::Packed, MechLayout::Dwcas, MechLayout::Wide]
+    /// Every test below runs against both representations: the packed
+    /// single-word fast path and the wide counters-under-mutex layout.
+    fn layouts() -> [MechLayout; 2] {
+        [MechLayout::Packed, MechLayout::Wide]
     }
 
     /// Two modes that conflict with each other but not themselves — like
@@ -1796,23 +1508,17 @@ mod tests {
     }
 
     #[test]
-    fn auto_layout_packs_small_partitions() {
+    fn auto_layout_switches_from_packed_to_wide_after_eight_modes() {
+        // The layout selection: a partition that fits the
+        // packed word gets it, the next size up goes wide.
         assert_eq!(
             Mech::new(8, WaitStrategy::Block).layout(),
             MechLayout::Packed
         );
-        // 9..=16 modes: the Dwcas word — when this build+machine serves
-        // it lock-free; the wide fallback otherwise.
-        let mid = if crate::dwcas::dwcas_available() {
-            MechLayout::Dwcas
-        } else {
-            MechLayout::Wide
-        };
-        assert_eq!(Mech::new(9, WaitStrategy::Block).layout(), mid);
-        assert_eq!(Mech::new(16, WaitStrategy::Block).layout(), mid);
+        assert_eq!(Mech::new(9, WaitStrategy::Block).layout(), MechLayout::Wide);
         assert_eq!(
-            Mech::new(17, WaitStrategy::Block).layout(),
-            MechLayout::Wide
+            Mech::new(1, WaitStrategy::Block).layout(),
+            MechLayout::Packed
         );
     }
 
@@ -2248,7 +1954,7 @@ mod tests {
                 }
             }
         }
-        assert!(mutants >= 11, "mutant catalog shrank to {mutants} entries");
+        assert!(mutants >= 9, "mutant catalog shrank to {mutants} entries");
     }
 
     #[test]
@@ -2265,8 +1971,6 @@ mod tests {
         };
         assert_eq!(by_site("packed.admit.cas_ok"), ord::PACKED_ADMIT_CAS_OK);
         assert_eq!(by_site("packed.release.cas_ok"), ord::PACKED_RELEASE_CAS_OK);
-        assert_eq!(by_site("dwcas.admit.cas_ok"), ord::DWCAS_ADMIT_CAS_OK);
-        assert_eq!(by_site("dwcas.release.cas_ok"), ord::DWCAS_RELEASE_CAS_OK);
         assert_eq!(by_site("stack.push.cas_ok"), ord::STACK_PUSH_CAS_OK);
         assert_eq!(by_site("stack.claim.cas_ok"), ord::STACK_CLAIM_CAS_OK);
         assert_eq!(
@@ -2317,67 +2021,21 @@ mod tests {
     }
 
     #[test]
-    fn dwcas_conflict_mask_covers_all_sixteen_fields() {
-        assert_eq!(dwcas_conflict_mask(&[]), 0);
-        assert_eq!(dwcas_conflict_mask(&[0]), FIELD_MAX as u128);
-        assert_eq!(
-            dwcas_conflict_mask(&[15]),
-            (FIELD_MAX as u128) << (15 * FIELD_BITS)
-        );
-        let m = dwcas_conflict_mask(&(0..16).collect::<Vec<_>>());
-        assert_eq!(
-            m & DWCAS_WAITERS_BIT,
-            0,
-            "mask must never cover the waiter bit"
-        );
-        for l in 0..16 {
-            assert_eq!(dwcas_field_of(m, l), FIELD_MAX as u128);
-        }
-    }
-
-    #[test]
-    fn dwcas_field_saturation_blocks_instead_of_corrupting() {
-        // The Dwcas twin of the packed saturation test, on the topmost
-        // field (15) so a carry would have to escape into the reserved
-        // region next to the waiter bit.
-        let m = Mech::with_layout(16, WaitStrategy::Block, MechLayout::Dwcas);
-        for _ in 0..FIELD_MAX {
-            assert!(m.try_lock(15, ConflictSet::new(&[])));
-        }
-        assert_eq!(m.count(15), FIELD_MAX as u32);
-        assert!(
-            !m.try_lock(15, ConflictSet::new(&[])),
-            "saturated field must refuse admission"
-        );
-        assert_eq!(m.count(14), 0, "neighbour field untouched by saturation");
-        assert!(!m.waiter_summary(), "saturation must not publish waiters");
-        assert!(m.unlock(15));
-        assert!(m.try_lock(15, ConflictSet::new(&[])));
-        for _ in 0..FIELD_MAX {
-            assert!(m.unlock(15));
-        }
-        assert_eq!(m.held_total(), 0);
-    }
-
-    #[test]
-    fn dwcas_high_and_low_modes_exclude_each_other() {
-        // Cross-word-half conflict: mode 15 (high u64 half of the 128-bit
-        // word) vs mode 0 (low half) — the shape a torn non-atomic
-        // 2×64-bit update would get wrong.
+    fn contended_stack_path_leaves_no_nodes_or_summary_behind() {
+        // After any amount of contention, quiescence means: summary bit
+        // clear, zero live waiter nodes (the claim sweeps stale ones).
         let m = Arc::new(Mech::with_layout(
-            16,
+            2,
             WaitStrategy::Block,
-            MechLayout::Dwcas,
+            MechLayout::Packed,
         ));
-        let iters = 2_000;
         let mut handles = Vec::new();
-        for (mode, other) in [(0u32, 15u32), (15, 0)] {
+        for mode in 0..2u32 {
             let m = m.clone();
             handles.push(std::thread::spawn(move || {
-                let conflicts = [other];
-                for _ in 0..iters {
+                let conflicts = [1 - mode];
+                for _ in 0..2_000 {
                     m.lock(mode, ConflictSet::new(&conflicts));
-                    assert_eq!(m.count(other), 0, "both modes held at once");
                     assert!(m.unlock(mode));
                 }
             }));
@@ -2386,33 +2044,8 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(m.held_total(), 0);
+        assert!(!m.waiter_summary(), "summary bit left set");
         assert_eq!(m.live_waiter_nodes(), 0, "waiter nodes leaked");
-    }
-
-    #[test]
-    fn contended_stack_path_leaves_no_nodes_or_summary_behind() {
-        // After any amount of contention, quiescence means: summary bit
-        // clear, zero live waiter nodes (the claim sweeps stale ones).
-        for layout in [MechLayout::Packed, MechLayout::Dwcas] {
-            let m = Arc::new(Mech::with_layout(2, WaitStrategy::Block, layout));
-            let mut handles = Vec::new();
-            for mode in 0..2u32 {
-                let m = m.clone();
-                handles.push(std::thread::spawn(move || {
-                    let conflicts = [1 - mode];
-                    for _ in 0..2_000 {
-                        m.lock(mode, ConflictSet::new(&conflicts));
-                        assert!(m.unlock(mode));
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(m.held_total(), 0, "{layout:?}");
-            assert!(!m.waiter_summary(), "{layout:?}: summary bit left set");
-            assert_eq!(m.live_waiter_nodes(), 0, "{layout:?}: waiter nodes leaked");
-        }
     }
 
     #[test]
@@ -2495,23 +2128,21 @@ mod tests {
 
     #[test]
     fn group_respects_saturation() {
-        for layout in [MechLayout::Packed, MechLayout::Dwcas] {
-            let m = Mech::with_layout(1, WaitStrategy::Block, layout);
-            for _ in 0..FIELD_MAX - 1 {
-                m.lock(0, ConflictSet::new(&[]));
-            }
-            // One slot of headroom left: a two-member group on the same
-            // mode would overflow the 7-bit field and must be refused.
-            let req = || GroupRequest {
-                local: 0,
-                cs: ConflictSet::new(&[]),
-            };
-            assert!(!m.try_lock_group(&[req(), req()]), "{layout:?}");
-            assert!(m.try_lock_group(&[req()]), "{layout:?}");
-            assert_eq!(u64::from(m.count(0)), FIELD_MAX, "{layout:?}");
-            for _ in 0..FIELD_MAX {
-                assert!(m.unlock(0));
-            }
+        let m = Mech::with_layout(1, WaitStrategy::Block, MechLayout::Packed);
+        for _ in 0..FIELD_MAX - 1 {
+            m.lock(0, ConflictSet::new(&[]));
+        }
+        // One slot of headroom left: a two-member group on the same mode
+        // would overflow the 7-bit field and must be refused.
+        let req = || GroupRequest {
+            local: 0,
+            cs: ConflictSet::new(&[]),
+        };
+        assert!(!m.try_lock_group(&[req(), req()]));
+        assert!(m.try_lock_group(&[req()]));
+        assert_eq!(u64::from(m.count(0)), FIELD_MAX);
+        for _ in 0..FIELD_MAX {
+            assert!(m.unlock(0));
         }
     }
 

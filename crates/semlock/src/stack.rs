@@ -1,5 +1,5 @@
 //! Claim-based lock-free waiter stack: the park/handoff path for the
-//! packed and Dwcas admission layouts.
+//! packed admission layout.
 //!
 //! The mutex/condvar park path the packed layout shipped with made every
 //! *contended* acquisition take the internal mutex — the fast path was

@@ -16,5 +16,3 @@
 
 pub use parking_lot::{Condvar, Mutex, MutexGuard};
 pub use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-pub use crate::dwcas::AtomicU128;

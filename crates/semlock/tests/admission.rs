@@ -10,6 +10,7 @@
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use semlock::manager::SemLock;
+use semlock::mech::MechLayout;
 use semlock::mode::{LockSiteId, ModeId, ModeTable};
 use semlock::phi::Phi;
 use semlock::schema::set_schema;
@@ -92,22 +93,16 @@ impl Monitor {
 }
 
 fn stress(n_phi: u16, threads: usize, iters: usize, seed: u64) {
-    stress_backend(n_phi, threads, iters, seed, semlock::AdmissionBackend::Auto);
+    stress_layout(n_phi, threads, iters, seed, MechLayout::Auto);
 }
 
-fn stress_backend(
-    n_phi: u16,
-    threads: usize,
-    iters: usize,
-    seed: u64,
-    backend: semlock::AdmissionBackend,
-) {
+fn stress_layout(n_phi: u16, threads: usize, iters: usize, seed: u64, layout: MechLayout) {
     use semlock::mech::WaitStrategy;
     let (table, sites) = zoo_table(n_phi);
-    let lock = Arc::new(SemLock::with_backend(
+    let lock = Arc::new(SemLock::with_layout(
         table.clone(),
         WaitStrategy::Block,
-        backend,
+        layout,
     ));
     let monitor = Arc::new(Monitor {
         table: table.clone(),
@@ -152,21 +147,18 @@ fn admission_safety_small_phi_forces_conflicts() {
     stress(1, 4, 1_500, 0xBEEF);
 }
 
-/// Exclusivity is a proof obligation of the `Admission` trait itself,
-/// not of any particular counter layout: every registered backend must
-/// uphold it under the same keyed chaos traffic. Word layouts whose
-/// mode ceiling a partition exceeds are skipped, as the backend config
-/// refuses them.
+/// Exclusivity is not a property of one counter layout: the packed word
+/// and the wide counters must both uphold it under the same keyed chaos
+/// traffic. Packed is skipped when a partition exceeds its eight fields.
 #[test]
-fn admission_safety_every_backend() {
-    use semlock::AdmissionBackend;
+fn admission_safety_every_layout() {
     let (table, _) = zoo_table(4);
     let largest = table.partition_sizes().iter().copied().max().unwrap_or(0) as usize;
-    for backend in AdmissionBackend::CONCRETE {
-        if backend.max_modes().is_some_and(|limit| largest > limit) {
+    for layout in [MechLayout::Packed, MechLayout::Wide] {
+        if layout == MechLayout::Packed && largest > semlock::mech::PACKED_MODE_LIMIT {
             continue;
         }
-        stress_backend(4, 4, 1_000, 0xD00D, backend);
+        stress_layout(4, 4, 1_000, 0xD00D, layout);
     }
 }
 

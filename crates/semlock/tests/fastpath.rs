@@ -1,16 +1,10 @@
-//! Cross-backend conformance suite for the admission fast paths: every
-//! registered [`Admission`] backend — the packed (64-bit) and Dwcas
-//! (128-bit) words, the wide counters-under-mutex oracle, the
-//! conflict-graph backend and the optimistic try-then-block hybrid —
-//! must make *exactly* the same admission, refusal and balance
-//! decisions as the wide oracle on identical schedules, and no backend
-//! may lose a wakeup, leak a waiter node, or leave the waiter summary
-//! behind.
+//! Layout conformance suite for the admission fast paths: the packed
+//! lock-free word and whatever `Auto` picks must make *exactly* the same
+//! admission, refusal and balance decisions as the wide
+//! counters-under-mutex oracle on identical schedules, and no layout may
+//! lose a wakeup, leak a waiter node, or leave the waiter summary behind.
 
 use proptest::prelude::*;
-use semlock::admission::{
-    Admission, AdmissionBackend, ConflictGraphBackend, OptimisticHybridBackend,
-};
 use semlock::mech::{ConflictSet, Mech, MechLayout, Wait, WaitStrategy};
 use semlock::mode::{LockSiteId, ModeTable};
 use semlock::phi::Phi;
@@ -55,53 +49,34 @@ enum Step {
     Expired(u32),
 }
 
-/// Every registered admission backend that serves a partition of
-/// `modes` modes with the given symmetric conflict relation, boxed
-/// behind the [`Admission`] trait. The first element is always the wide
-/// counters-under-mutex mech — the conformance oracle the others are
-/// checked against. Word layouts with a mode-count ceiling (packed ≤ 8,
-/// Dwcas ≤ 16) are skipped above their limit, exactly as the backend
-/// config would refuse them.
-fn conformance_backends(modes: usize, conflicts: &[Vec<u32>]) -> Vec<Box<dyn Admission>> {
-    let mut backends: Vec<Box<dyn Admission>> = vec![Box::new(Mech::with_layout(
-        modes,
-        WaitStrategy::Block,
-        MechLayout::Wide,
-    ))];
-    if modes <= semlock::mech::DWCAS_MODE_LIMIT {
-        backends.push(Box::new(Mech::with_layout(
-            modes,
-            WaitStrategy::Block,
-            MechLayout::Dwcas,
-        )));
-    }
+/// Every layout that serves a partition of `modes` modes: the wide
+/// counters-under-mutex mech first — the conformance oracle the others
+/// are checked against — then `Auto`, then packed when the partition fits
+/// its eight fields.
+fn conformance_mechs(modes: usize) -> Vec<Mech> {
+    let mut layouts = vec![MechLayout::Wide, MechLayout::Auto];
     if modes <= semlock::mech::PACKED_MODE_LIMIT {
-        backends.push(Box::new(Mech::with_layout(
-            modes,
-            WaitStrategy::Block,
-            MechLayout::Packed,
-        )));
+        layouts.push(MechLayout::Packed);
     }
-    backends.push(Box::new(ConflictGraphBackend::new(
-        conflicts.to_vec(),
-        WaitStrategy::Block,
-    )));
-    backends.push(Box::new(OptimisticHybridBackend::new(
-        modes,
-        WaitStrategy::Block,
-    )));
-    backends
+    layouts
+        .into_iter()
+        .map(|l| Mech::with_layout(modes, WaitStrategy::Block, l))
+        .collect()
 }
 
-/// Replay one seeded schedule against every registered backend that
-/// serves `modes`, asserting identical outcomes at every step and
-/// identical final balance. The wide counters-under-mutex mech is the
-/// oracle; every other backend — lock-free word, conflict graph or
-/// hybrid — must agree with it and, transitively, with each other.
+/// A mech's layout as a diagnostic label.
+fn name(m: &Mech) -> String {
+    format!("{:?}", m.layout())
+}
+
+/// Replay one seeded schedule against every layout that serves `modes`,
+/// asserting identical outcomes at every step and identical final
+/// balance. The wide counters-under-mutex mech is the oracle; every other
+/// layout must agree with it and, transitively, with each other.
 fn replay_schedule(modes: usize, steps: &[Step]) {
     let conflicts = conflict_lists(modes, 0xC0FFEE);
-    let backends = conformance_backends(modes, &conflicts);
-    let (wide, others) = backends.split_first().unwrap();
+    let mechs = conformance_mechs(modes);
+    let (wide, others) = mechs.split_first().unwrap();
     for (i, &step) in steps.iter().enumerate() {
         match step {
             Step::TryLock(m) => {
@@ -109,14 +84,14 @@ fn replay_schedule(modes: usize, steps: &[Step]) {
                 let w = wide.try_lock(m, ConflictSet::new(cs));
                 for b in others {
                     let p = b.try_lock(m, ConflictSet::new(cs));
-                    assert_eq!(p, w, "step {i}: {} try_lock({m}) diverged", b.name());
+                    assert_eq!(p, w, "step {i}: {} try_lock({m}) diverged", name(b));
                 }
             }
             Step::Unlock(m) => {
                 let w = wide.unlock(m);
                 for b in others {
                     let p = b.unlock(m);
-                    assert_eq!(p, w, "step {i}: {} unlock({m}) diverged", b.name());
+                    assert_eq!(p, w, "step {i}: {} unlock({m}) diverged", name(b));
                 }
             }
             Step::Expired(m) => {
@@ -131,7 +106,7 @@ fn replay_schedule(modes: usize, steps: &[Step]) {
                         p,
                         w,
                         "step {i}: {} expired lock_deadline({m}) diverged",
-                        b.name()
+                        name(b)
                     );
                 }
             }
@@ -142,7 +117,7 @@ fn replay_schedule(modes: usize, steps: &[Step]) {
                     b.count(m),
                     wide.count(m),
                     "step {i}: {} count({m}) diverged",
-                    b.name()
+                    name(b)
                 );
             }
         }
@@ -155,25 +130,25 @@ fn replay_schedule(modes: usize, steps: &[Step]) {
             ps.acquisitions.load(Ordering::Relaxed),
             ws.acquisitions.load(Ordering::Relaxed),
             "{}: acquisition totals diverged",
-            b.name()
+            name(b)
         );
         assert_eq!(
             ps.timeouts.load(Ordering::Relaxed),
             ws.timeouts.load(Ordering::Relaxed),
             "{}: timeout totals diverged",
-            b.name()
+            name(b)
         );
         assert_eq!(
             ps.underflows.load(Ordering::Relaxed),
             ws.underflows.load(Ordering::Relaxed),
             "{}: underflow totals diverged",
-            b.name()
+            name(b)
         );
         assert_eq!(b.held_total(), wide.held_total());
         assert!(
             !b.waiter_summary(),
             "{}: waiter summary left set by a sequential schedule",
-            b.name()
+            name(b)
         );
     }
 }
@@ -181,14 +156,12 @@ fn replay_schedule(modes: usize, steps: &[Step]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Identical seeded schedules drive every registered backend —
-    /// packed, Dwcas, wide, conflict-graph and optimistic-hybrid — to
-    /// identical admission/refusal/balance outcomes, step by step. Mode
-    /// counts above 8 drop packed (it cannot represent them) but keep
-    /// exercising the rest, including modes in the high 64-bit half of
-    /// the Dwcas word.
+    /// Identical seeded schedules drive every layout — packed, `Auto`
+    /// and wide — to identical admission/refusal/balance outcomes, step
+    /// by step. Mode counts above 8 drop packed (it cannot represent
+    /// them) and keep checking that `Auto` agrees with the oracle there.
     #[test]
-    fn all_backends_replay_identically(
+    fn all_layouts_replay_identically(
         modes in 1usize..=16,
         raw in proptest::collection::vec((0u8..3, 0u32..16, any::<bool>()), 1..120),
     ) {
@@ -209,47 +182,43 @@ proptest! {
 
 /// Threaded flavour of the equivalence check: the same seeded chaos
 /// schedule (per-thread RNG streams of lock/unlock pairs) runs against
-/// every registered backend; totals must balance identically even
-/// though interleavings differ.
+/// every layout; totals must balance identically even though
+/// interleavings differ.
 #[test]
-fn all_backends_balance_under_threads() {
+fn all_layouts_balance_under_threads() {
     use rand::{Rng, SeedableRng};
     use std::sync::atomic::Ordering;
     const THREADS: usize = 4;
     const OPS: usize = 2_000;
     let modes = 6usize;
     let conflicts = Arc::new(conflict_lists(modes, 7));
-    for backend in conformance_backends(modes, &conflicts) {
-        let backend: Arc<dyn Admission> = Arc::from(backend);
-        let name = backend.name();
+    for mech in conformance_mechs(modes) {
+        let mech = Arc::new(mech);
+        let name = name(&mech);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
-                let backend = Arc::clone(&backend);
+                let mech = Arc::clone(&mech);
                 let conflicts = Arc::clone(&conflicts);
                 scope.spawn(move || {
                     let mut rng = rand::rngs::SmallRng::seed_from_u64(t as u64);
                     for _ in 0..OPS {
                         let m = rng.gen_range(0..modes) as u32;
-                        backend.lock(m, ConflictSet::new(&conflicts[m as usize]));
-                        assert!(backend.unlock(m));
+                        mech.lock(m, ConflictSet::new(&conflicts[m as usize]));
+                        assert!(mech.unlock(m));
                     }
                 });
             }
         });
-        assert_eq!(backend.held_total(), 0, "{name}: leaked holds");
-        let s = backend.stats();
+        assert_eq!(mech.held_total(), 0, "{name}: leaked holds");
+        let s = mech.stats();
         assert_eq!(
             s.acquisitions.load(Ordering::Relaxed),
             (THREADS * OPS) as u64,
             "{name}: acquisition count off"
         );
         assert_eq!(s.underflows.load(Ordering::Relaxed), 0, "{name}: underflow");
-        assert_eq!(
-            backend.live_waiter_nodes(),
-            0,
-            "{name}: leaked waiter nodes"
-        );
-        assert!(!backend.waiter_summary(), "{name}: summary left published");
+        assert_eq!(mech.live_waiter_nodes(), 0, "{name}: leaked waiter nodes");
+        assert!(!mech.waiter_summary(), "{name}: summary left published");
     }
 }
 
@@ -261,20 +230,20 @@ fn all_backends_balance_under_threads() {
 #[test]
 fn release_wakeup_is_never_lost() {
     const ROUNDS: usize = 3_000;
-    for backend in conformance_backends(1, &[vec![0]]) {
-        let backend: Arc<dyn Admission> = Arc::from(backend);
-        let name = backend.name();
+    for mech in conformance_mechs(1) {
+        let mech = Arc::new(mech);
+        let name = name(&mech);
         let (done_tx, done_rx) = mpsc::channel::<()>();
         let workers: Vec<_> = (0..2)
             .map(|_| {
-                let backend = Arc::clone(&backend);
+                let mech = Arc::clone(&mech);
                 let done = done_tx.clone();
                 std::thread::spawn(move || {
                     for _ in 0..ROUNDS {
                         // Self-conflicting mode: exactly one thread in at a
                         // time; every release must wake the parked peer.
-                        backend.lock(0, ConflictSet::new(&[0]));
-                        assert!(backend.unlock(0));
+                        mech.lock(0, ConflictSet::new(&[0]));
+                        assert!(mech.unlock(0));
                     }
                     done.send(()).unwrap();
                 })
@@ -291,9 +260,9 @@ fn release_wakeup_is_never_lost() {
         for w in workers {
             w.join().unwrap();
         }
-        assert_eq!(backend.held_total(), 0);
-        assert_eq!(backend.live_waiter_nodes(), 0, "{name}: leaked nodes");
-        assert!(!backend.waiter_summary(), "{name}: stale summary");
+        assert_eq!(mech.held_total(), 0);
+        assert_eq!(mech.live_waiter_nodes(), 0, "{name}: leaked nodes");
+        assert!(!mech.waiter_summary(), "{name}: stale summary");
     }
 }
 
@@ -345,102 +314,55 @@ fn claim_stack_survives_tag_wraparound() {
 }
 
 /// `WaitBudget::DontWait` regression: a failing `try_lock` must be a
-/// side-effect-free probe on every backend. The earlier packed
+/// side-effect-free probe on every layout. The earlier packed
 /// implementation routed it through the waiting path and transiently
 /// published the WAITERS bit, which a concurrent releaser could consume
 /// — waking nobody and losing the real waiter's handoff. Here a real
 /// waiter parks, then a barrage of failing probes runs; the waiter's
-/// published summary (waiter bit for the word layouts, the registered
-/// waiter count for the graph backend) must survive untouched and the
+/// published summary (waiter bit for the packed word, the registered
+/// waiter count for the wide layout) must survive untouched and the
 /// waiter must still be woken by the actual release.
 #[test]
 fn dontwait_probe_is_side_effect_free() {
     // Two modes in mutual (but not self) conflict: the holder takes 0,
     // the waiter parks on 1, probes hammer 1.
-    for backend in conformance_backends(2, &[vec![1], vec![0]]) {
-        let backend: Arc<dyn Admission> = Arc::from(backend);
-        let name = backend.name();
-        backend.lock(0, ConflictSet::new(&[1]));
+    for mech in conformance_mechs(2) {
+        let mech = Arc::new(mech);
+        let name = name(&mech);
+        mech.lock(0, ConflictSet::new(&[1]));
         let waiter = {
-            let backend = Arc::clone(&backend);
+            let mech = Arc::clone(&mech);
             std::thread::spawn(move || {
-                backend.lock(1, ConflictSet::new(&[0]));
-                assert!(backend.unlock(1));
+                mech.lock(1, ConflictSet::new(&[0]));
+                assert!(mech.unlock(1));
             })
         };
         // Wait until the waiter has actually published its node + bit.
         let deadline = Instant::now() + Duration::from_secs(30);
-        while !backend.waiter_summary() {
+        while !mech.waiter_summary() {
             assert!(Instant::now() < deadline, "{name}: waiter never parked");
             std::thread::yield_now();
         }
         for _ in 0..10_000 {
             assert!(
-                !backend.try_lock(1, ConflictSet::new(&[0])),
+                !mech.try_lock(1, ConflictSet::new(&[0])),
                 "{name}: probe admitted against a held conflict"
             );
             assert!(
-                backend.waiter_summary(),
+                mech.waiter_summary(),
                 "{name}: failing DontWait probe disturbed the waiter summary"
             );
         }
-        assert!(backend.unlock(0));
+        assert!(mech.unlock(0));
         waiter.join().unwrap();
-        assert_eq!(backend.held_total(), 0);
-        assert_eq!(backend.live_waiter_nodes(), 0, "{name}: leaked nodes");
-        assert!(!backend.waiter_summary(), "{name}: stale summary");
+        assert_eq!(mech.held_total(), 0);
+        assert_eq!(mech.live_waiter_nodes(), 0, "{name}: leaked nodes");
+        assert!(!mech.waiter_summary(), "{name}: stale summary");
     }
-}
-
-/// A 16-mode partition — previously forced onto the counters-under-mutex
-/// wide path — runs lock-free on the Dwcas word under `Auto` wherever
-/// cmpxchg16b serves it, with modes spread across both 64-bit halves.
-#[test]
-fn sixteen_mode_partition_is_lock_free_under_auto() {
-    use std::sync::atomic::Ordering;
-    const THREADS: usize = 4;
-    const OPS: usize = 1_500;
-    let modes = 16usize;
-    let mech = Arc::new(Mech::new(modes, WaitStrategy::Block));
-    if semlock::dwcas::dwcas_available() {
-        assert_eq!(mech.layout(), MechLayout::Dwcas, "Auto left 16 modes wide");
-    } else {
-        assert_eq!(mech.layout(), MechLayout::Wide);
-    }
-    let conflicts = Arc::new(conflict_lists(modes, 0xD1CE));
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let mech = Arc::clone(&mech);
-            let conflicts = Arc::clone(&conflicts);
-            scope.spawn(move || {
-                use rand::{Rng, SeedableRng};
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(t as u64 ^ 0xABCD);
-                for _ in 0..OPS {
-                    // Bias towards the cross-half modes (7, 8, 15) so the
-                    // high and low words of the DWCAS both churn.
-                    let m = match rng.gen_range(0..6) {
-                        0 => 7u32,
-                        1 => 8,
-                        2 => 15,
-                        _ => rng.gen_range(0..modes) as u32,
-                    };
-                    mech.lock(m, ConflictSet::new(&conflicts[m as usize]));
-                    assert!(mech.unlock(m));
-                }
-            });
-        }
-    });
-    assert_eq!(mech.held_total(), 0);
-    assert_eq!(
-        mech.stats().acquisitions.load(Ordering::Relaxed),
-        (THREADS * OPS) as u64
-    );
-    assert_eq!(mech.live_waiter_nodes(), 0);
-    assert!(!mech.waiter_summary());
 }
 
 // ---------------------------------------------------------------------
-// The unified acquisition API, exercised over every admission backend.
+// The unified acquisition API, exercised over every counter layout.
 // ---------------------------------------------------------------------
 
 fn table() -> (Arc<ModeTable>, LockSiteId) {
@@ -470,23 +392,22 @@ fn table() -> (Arc<ModeTable>, LockSiteId) {
     (b.build(), site)
 }
 
-/// One `SemLock` per registered backend (plus `Auto`), skipping word
-/// layouts whose mode ceiling the table's largest partition exceeds —
-/// the same refusal the backend config applies.
-fn locks_for_all_backends(t: &Arc<ModeTable>) -> Vec<SemLock> {
+/// One `SemLock` per counter layout, skipping packed when the table's
+/// largest partition exceeds its eight fields.
+fn locks_for_all_layouts(t: &Arc<ModeTable>) -> Vec<SemLock> {
     let largest = t.partition_sizes().iter().copied().max().unwrap_or(0) as usize;
-    std::iter::once(AdmissionBackend::Auto)
-        .chain(AdmissionBackend::CONCRETE)
-        .filter(|b| b.max_modes().is_none_or(|limit| largest <= limit))
-        .map(|b| SemLock::with_backend(t.clone(), WaitStrategy::Block, b))
+    [MechLayout::Auto, MechLayout::Packed, MechLayout::Wide]
+        .into_iter()
+        .filter(|&l| l != MechLayout::Packed || largest <= semlock::mech::PACKED_MODE_LIMIT)
+        .map(|l| SemLock::with_layout(t.clone(), WaitStrategy::Block, l))
         .collect()
 }
 
 #[test]
-fn acquire_spec_equivalences_hold_on_all_backends() {
+fn acquire_spec_equivalences_hold_on_all_layouts() {
     let (t, site) = table();
     let m = t.select(site, &[Value(3)]); // self-conflicting mode
-    for lock in locks_for_all_backends(&t) {
+    for lock in locks_for_all_layouts(&t) {
         // Forever == lv.
         let mut txn = semlock::Txn::new();
         txn.acquire(&lock, &AcquireSpec::new(m)).unwrap();
@@ -524,10 +445,10 @@ fn acquire_spec_equivalences_hold_on_all_backends() {
 }
 
 #[test]
-fn acquire_reports_poison_on_all_backends() {
+fn acquire_reports_poison_on_all_layouts() {
     let (t, site) = table();
     let m = t.select(site, &[Value(1)]);
-    for lock in locks_for_all_backends(&t) {
+    for lock in locks_for_all_layouts(&t) {
         lock.poison();
         for spec in [
             AcquireSpec::new(m),
@@ -595,7 +516,7 @@ fn no_watchdog_spec_still_times_out_but_never_aborts() {
 fn standalone_semlock_acquire_mirrors_lock_variants() {
     let (t, site) = table();
     let m = t.select(site, &[Value(3)]);
-    for lock in locks_for_all_backends(&t) {
+    for lock in locks_for_all_layouts(&t) {
         lock.acquire(&AcquireSpec::new(m)).unwrap();
         let err = lock.acquire(&AcquireSpec::new(m).no_wait()).unwrap_err();
         assert!(matches!(err, LockError::Timeout { .. }));

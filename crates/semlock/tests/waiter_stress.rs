@@ -118,7 +118,7 @@ fn stale_nodes_are_swept_not_leaked() {
 fn mech_handoff_stress_all_layouts() {
     const THREADS: u64 = 8;
     let rounds = stress_rounds();
-    for layout in [MechLayout::Packed, MechLayout::Dwcas, MechLayout::Wide] {
+    for layout in [MechLayout::Auto, MechLayout::Packed, MechLayout::Wide] {
         let mech = Arc::new(Mech::with_layout(2, WaitStrategy::Block, layout));
         let held = Arc::new(AtomicU64::new(0));
         let successes = Arc::new(AtomicU64::new(0));

@@ -19,6 +19,7 @@
 use interp::{Engine, Env, Interp, Strategy};
 use proptest::prelude::*;
 use semlock::fault::{self, FaultPlan};
+use semlock::mech::MechLayout;
 use semlock::retry::RetryPolicy;
 use semlock::telemetry;
 use semlock::value::Value;
@@ -35,61 +36,46 @@ fn chaos_ops() -> u64 {
         .unwrap_or(250)
 }
 
-/// Serializes the telemetry-toggling tests in this binary (the enabled
-/// flag and the event rings are process-global).
+/// Serializes the tests in this binary that toggle telemetry or take
+/// locks while another test may have it on: the enabled flag and the
+/// event rings are process-global, so an unguarded test's lock events
+/// would land in a guarded test's balance check.
 fn guard() -> MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
     GUARD.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The retry escalation state machine over the Dwcas + claim-stack park
-/// path: contending threads acquire a high-half mode of a 16-mode
-/// partition with deadlines tight enough to abort constantly, walk every
-/// abort through `RetryPolicy::on_abort` (backoff → escalation), and
-/// count each re-run into the process-wide [`RetryCounters`]. Every
-/// logical op must eventually complete, the counters must balance
-/// exactly against the locally observed aborts, and the mech must be
-/// spotless at quiescence (no holds, no waiter nodes, no summary bit).
+/// The retry escalation state machine over the packed claim-stack park
+/// path: contending threads acquire the topmost mode of an 8-mode
+/// partition (the field next to the waiter-summary bit) with deadlines
+/// tight enough to abort constantly, walk every abort through
+/// `RetryPolicy::on_abort` (backoff → escalation), and count each re-run
+/// into the process-wide [`RetryCounters`]. Every logical op must
+/// eventually complete, the counters must balance exactly against the
+/// locally observed aborts, and the mech must be spotless at quiescence
+/// (no holds, no waiter nodes, no summary bit).
 #[test]
-fn retry_counters_balance_over_dwcas_claim_stack() {
-    use semlock::mech::{Mech, MechLayout, WaitStrategy};
-    retry_balance_soak(Arc::new(Mech::with_layout(
-        16,
-        WaitStrategy::Block,
-        MechLayout::Dwcas,
-    )));
+fn retry_counters_balance_over_packed_claim_stack() {
+    retry_balance_soak(8, MechLayout::Packed);
 }
 
-/// The same abort-retry balance obligation holds for the non-word
-/// admission backends: the conflict-graph transcription and the
-/// optimistic try-then-block hybrid must keep the global retry/
-/// escalation counters in exact balance with locally observed aborts
-/// and come out spotless at quiescence.
+/// The same abort-retry balance obligation on the wide counters-under-
+/// mutex layout, over a 16-mode partition (wider than the packed word).
 #[test]
-fn retry_counters_balance_on_graph_and_hybrid() {
-    use semlock::admission::{ConflictGraphBackend, OptimisticHybridBackend};
-    use semlock::mech::WaitStrategy;
-    // 16 modes; only mode 15 conflicts (with itself), as in the word run.
-    let mut rows = vec![Vec::new(); 16];
-    rows[15] = vec![15u32];
-    retry_balance_soak(Arc::new(ConflictGraphBackend::new(
-        rows,
-        WaitStrategy::Block,
-    )));
-    retry_balance_soak(Arc::new(OptimisticHybridBackend::new(
-        16,
-        WaitStrategy::Block,
-    )));
+fn retry_counters_balance_on_wide() {
+    retry_balance_soak(16, MechLayout::Wide);
 }
 
-fn retry_balance_soak(mech: Arc<dyn semlock::Admission>) {
+fn retry_balance_soak(modes: usize, layout: MechLayout) {
     use semlock::error::LockError;
-    use semlock::mech::{Acquire, ConflictSet, Wait};
+    use semlock::mech::{Acquire, ConflictSet, Mech, Wait, WaitStrategy};
     use semlock::retry::RetryOutcome;
     use semlock::ModeId;
     use std::sync::atomic::AtomicU64;
     use std::time::Instant;
     let _g = guard();
+    let mech = Arc::new(Mech::with_layout(modes, WaitStrategy::Block, layout));
+    let top = modes as u32 - 1;
     let before = telemetry::retry_counters();
     let policy = Arc::new(RetryPolicy::new(11).escalate_after(3));
     let ops = chaos_ops().min(300);
@@ -102,9 +88,10 @@ fn retry_balance_soak(mech: Arc<dyn semlock::Admission>) {
             let retried = Arc::clone(&retried);
             let escalated = Arc::clone(&escalated);
             scope.spawn(move || {
-                // Mode 15 (high half of the DWCAS word) conflicts with
-                // itself: full mutual exclusion among all threads.
-                let cs = ConflictSet::new(&[15]);
+                // The topmost mode conflicts with itself: full mutual
+                // exclusion among all threads.
+                let conflicts = [top];
+                let cs = ConflictSet::new(&conflicts);
                 for i in 0..ops {
                     let txn = t * ops + i;
                     let mut st = semlock::retry::RetryState::new();
@@ -118,7 +105,7 @@ fn retry_balance_soak(mech: Arc<dyn semlock::Admission>) {
                             Duration::from_micros(30)
                         };
                         let got = mech
-                            .lock_deadline(15, cs, Instant::now() + wait, &mut || Wait::Continue);
+                            .lock_deadline(top, cs, Instant::now() + wait, &mut || Wait::Continue);
                         if got == Acquire::Acquired {
                             // Hold the mode long enough that rival
                             // 30µs-deadline attempts genuinely expire —
@@ -128,12 +115,12 @@ fn retry_balance_soak(mech: Arc<dyn semlock::Admission>) {
                             while Instant::now() < until {
                                 std::hint::spin_loop();
                             }
-                            assert!(mech.unlock(15));
+                            assert!(mech.unlock(top));
                             break;
                         }
                         let err = LockError::Timeout {
                             instance: 0,
-                            mode: ModeId(15),
+                            mode: ModeId(top),
                             waited: wait,
                         };
                         match policy.on_abort(&mut st, txn, &err) {
@@ -258,6 +245,7 @@ proptest! {
 /// leaks a hold.
 #[test]
 fn starved_eldest_escalates_and_finishes() {
+    let _g = guard();
     fault::silence_injected_panics();
     let program = counter_program();
     let env = Arc::new(Env::new(program));
@@ -317,6 +305,7 @@ fn starved_eldest_escalates_and_finishes() {
 /// settled (zero livelocked), no failures leaking out of the ledger.
 #[test]
 fn server_soak_ten_seeds() {
+    let _g = guard();
     for seed in 0..10u64 {
         let mut cfg = ServerConfig::soak(seed);
         cfg.requests = (chaos_ops() * 4).max(600);

@@ -273,14 +273,14 @@ fn site_ids_identical_across_recompiles() {
 /// saturates nor borrows), not just under whatever `Auto` picks.
 #[test]
 fn double_release_refused_poisons_and_reports() {
-    use semlock::AdmissionBackend;
+    use semlock::mech::MechLayout;
     use semlock::WaitStrategy;
 
     let _g = guard();
-    for backend in [AdmissionBackend::Packed, AdmissionBackend::Wide] {
+    for layout in [MechLayout::Packed, MechLayout::Wide] {
         let (table, site) = cia_table(8);
         let mode = table.select(site, &[Value(3)]);
-        let lock = SemLock::with_backend(table, WaitStrategy::Block, backend);
+        let lock = SemLock::with_layout(table, WaitStrategy::Block, layout);
 
         telemetry::reset();
         telemetry::enable();
@@ -296,30 +296,30 @@ fn double_release_refused_poisons_and_reports() {
         assert!(
             matches!(err, LockError::UnlockUnderflow { instance, mode: m }
                 if instance == lock.unique() && m == mode),
-            "{backend:?}: {err}"
+            "{layout:?}: {err}"
         );
         assert!(
             lock.is_poisoned(),
-            "{backend:?}: refused double release poisons"
+            "{layout:?}: refused double release poisons"
         );
-        assert_eq!(lock.underflow_count(), 1, "{backend:?}");
+        assert_eq!(lock.underflow_count(), 1, "{layout:?}");
         assert_eq!(
             lock.total_holds(),
             0,
-            "{backend:?}: the counter never underflowed"
+            "{layout:?}: the counter never underflowed"
         );
         assert!(
             events
                 .iter()
                 .any(|e| e.kind == EventKind::UnlockUnderflow && e.instance == lock.unique()),
-            "{backend:?}: an UnlockUnderflow event is emitted"
+            "{layout:?}: an UnlockUnderflow event is emitted"
         );
 
         // The instance recovers through the normal escape hatch.
         lock.clear_poison();
         lock.lock(mode);
         lock.unlock_checked(mode)
-            .unwrap_or_else(|e| panic!("{backend:?}: usable after recovery: {e}"));
+            .unwrap_or_else(|e| panic!("{layout:?}: usable after recovery: {e}"));
     }
 }
 
@@ -331,18 +331,18 @@ fn double_release_refused_poisons_and_reports() {
 /// `CycleAborted` event — whichever representation serves the partition.
 #[test]
 fn cycle_abort_fires_under_both_mech_layouts() {
-    use semlock::AdmissionBackend;
+    use semlock::mech::MechLayout;
     use semlock::WaitStrategy;
 
     let _g = guard();
-    for backend in [AdmissionBackend::Packed, AdmissionBackend::Wide] {
+    for layout in [MechLayout::Packed, MechLayout::Wide] {
         telemetry::reset();
         telemetry::enable();
 
         let (table, site) = cia_table(8);
         let mode = table.select(site, &[Value(7)]); // self-conflicting
-        let a = SemLock::with_backend(table.clone(), WaitStrategy::Block, backend);
-        let b = SemLock::with_backend(table.clone(), WaitStrategy::Block, backend);
+        let a = SemLock::with_layout(table.clone(), WaitStrategy::Block, layout);
+        let b = SemLock::with_layout(table.clone(), WaitStrategy::Block, layout);
         let gate = Barrier::new(2);
         let errors: Mutex<Vec<LockError>> = Mutex::new(Vec::new());
 
@@ -365,13 +365,13 @@ fn cycle_abort_fires_under_both_mech_layouts() {
 
         assert!(
             start.elapsed() < Duration::from_secs(8),
-            "{backend:?}: watchdog did not break the cycle before the deadline"
+            "{layout:?}: watchdog did not break the cycle before the deadline"
         );
         let errors = errors.into_inner().unwrap();
-        assert_eq!(errors.len(), 1, "{backend:?}: exactly one txn aborts");
+        assert_eq!(errors.len(), 1, "{layout:?}: exactly one txn aborts");
         assert!(
             matches!(errors[0], LockError::WouldDeadlock { .. }),
-            "{backend:?}: {}",
+            "{layout:?}: {}",
             errors[0]
         );
         assert_eq!(
@@ -380,9 +380,9 @@ fn cycle_abort_fires_under_both_mech_layouts() {
                 .filter(|e| e.kind == EventKind::CycleAborted)
                 .count(),
             1,
-            "{backend:?}: one CycleAborted event"
+            "{layout:?}: one CycleAborted event"
         );
-        assert_eq!(a.total_holds() + b.total_holds(), 0, "{backend:?}");
+        assert_eq!(a.total_holds() + b.total_holds(), 0, "{layout:?}");
     }
 }
 

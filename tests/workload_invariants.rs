@@ -107,3 +107,55 @@ fn semantic_contention_is_low_for_disjoint_keys() {
     );
     bench.validate().unwrap();
 }
+
+/// Layout census: synthesize the cia, intruder, graph and server sections
+/// with the φ and mode cap their workloads use, and check the counter
+/// layout `Auto` gives every partition. cia and intruder run entirely on
+/// the packed word, graph and server entirely on the wide counters, so the
+/// shipped workloads exercise both sides of the one layout selection.
+#[test]
+fn auto_layout_census_puts_workloads_on_both_layouts() {
+    use semlock::mech::{Mech, MechLayout, WaitStrategy};
+    use synth::{SynthOutput, Synthesizer};
+    use workloads::server::{balance_section, scan_mutate_section, transfer_section};
+    use workloads::synthesis::{cia_section, graph_sections, intruder_sections, registry};
+
+    let layouts = |out: &SynthOutput| -> Vec<MechLayout> {
+        out.tables
+            .classes()
+            .flat_map(|class| out.tables.table(class).partition_sizes().to_vec())
+            .map(|sz| Mech::new(sz as usize, WaitStrategy::Block).layout())
+            .collect()
+    };
+    let synth = || Synthesizer::new(registry()).phi(Phi::fib(64));
+    let census = [
+        (
+            "cia",
+            synth().synthesize(&[cia_section()]),
+            MechLayout::Packed,
+        ),
+        (
+            "intruder",
+            synth().synthesize(&intruder_sections()),
+            MechLayout::Packed,
+        ),
+        (
+            "graph",
+            synth().cap(2048).synthesize(&graph_sections()),
+            MechLayout::Wide,
+        ),
+        (
+            "server",
+            synth().synthesize(&[transfer_section(), balance_section(), scan_mutate_section()]),
+            MechLayout::Wide,
+        ),
+    ];
+    for (name, out, want) in census {
+        let got = layouts(&out);
+        assert!(!got.is_empty(), "{name}: no partitions");
+        assert!(
+            got.iter().all(|&l| l == want),
+            "{name}: expected every partition {want:?}, got {got:?}"
+        );
+    }
+}
