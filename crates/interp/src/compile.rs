@@ -8,10 +8,11 @@
 //! `Arc<ModeTable>` — and then drives the tape with a tight `pc`-indexed
 //! dispatch loop over a dense `Vec<Value>` register frame.
 //!
-//! Per warm run, the loop performs exactly one allocation — the register
-//! vector that escapes as the [`CompiledFrame`]; the handle cache, the
-//! group-lock scratch, and the `RunState` buffers are recycled through a
-//! per-thread `Scratch` pool. Per *op* it allocates nothing: no
+//! A warm run performs no heap allocation: the [`CompiledFrame`] that
+//! escapes holds up to a dozen values inline, and the register file, the
+//! handle cache, the group-lock scratch, and the `RunState` buffers are
+//! recycled through a per-thread `Scratch` pool (`tests/alloc_free.rs`
+//! counts allocations to pin this down). Per *op* it allocates nothing: no
 //! `HashMap` frame lookups, no `String` clones, no recursive `Expr`
 //! matching, no string-keyed `ClassTables` lookups on lock sites, and —
 //! thanks to the per-slot handle cache — the `Registry::get`
@@ -149,11 +150,11 @@ pub struct CompiledFrame {
 
 impl CompiledFrame {
     /// Value of a declared variable.
-    pub fn get(&self, name: &str) -> Option<Value> {
+    pub fn get(&self, name: &str) -> Option<&Value> {
         self.names
             .iter()
             .position(|n| n == name)
-            .map(|i| self.values.as_slice()[i])
+            .map(|i| &self.values.as_slice()[i])
     }
 
     /// Declared variables in slot order.
@@ -171,6 +172,25 @@ impl CompiledFrame {
             .cloned()
             .zip(self.values.as_slice().iter().copied())
             .collect()
+    }
+
+    /// The dense form of a tree-walker [`Frame`], variables in name order
+    /// (the slot order the compiler assigns). Allocates; the tree-walker
+    /// is the reference oracle, not the hot path.
+    pub fn from_frame(frame: Frame) -> CompiledFrame {
+        let mut vars: Vec<(String, Value)> = frame.into_iter().collect();
+        vars.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let values: Vec<Value> = vars.iter().map(|&(_, v)| v).collect();
+        CompiledFrame {
+            values: FrameValues::of(&values),
+            names: vars.into_iter().map(|(n, _)| n).collect(),
+        }
+    }
+}
+
+impl std::fmt::Debug for CompiledFrame {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -321,7 +341,7 @@ struct BatchMember {
 struct Scratch {
     regs: Vec<Value>,
     cache: Vec<Option<Arc<SharedAdt>>>,
-    group: Vec<(u64, Value, u16)>,
+    group: Vec<(u64, u16, u16)>,
     /// φ inline cache, indexed by tape site (single-key sites only).
     phi: Vec<Option<PhiCache>>,
     /// Batched-admission member buffer (pool order).
@@ -460,7 +480,7 @@ fn dispatch(interp: &Interp, cs: &CompiledSection, scratch: &mut Scratch) -> Res
     // Arc clone) is paid once per distinct pointer value per slot. Entries
     // self-validate against the current register value, so rebinding a
     // pointer variable just refills its slot. `group` is the group-lock
-    // scratch: (instance id, handle, site index). Everything lives in the
+    // scratch: (instance id, slot, site index). Everything lives in the
     // pooled `Scratch`, so a warm run allocates nothing.
     let Scratch {
         regs,
@@ -544,20 +564,19 @@ fn dispatch(interp: &Interp, cs: &CompiledSection, scratch: &mut Scratch) -> Res
             LowOp::LockGroup { start, len } => {
                 // Dynamic ordering by unique instance id (Fig. 12). The
                 // pointer value *is* the instance id, so no resolution is
-                // needed to sort.
+                // needed to sort; each member then resolves through the
+                // slot cache, which its calls reuse.
                 group.clear();
                 let entries = &cs.tape.group_pool[start as usize..start as usize + len as usize];
-                group.extend(entries.iter().filter_map(|&(slot, site)| {
-                    let handle = regs[slot as usize];
-                    if handle.is_null() {
-                        None
-                    } else {
-                        Some((env.resolve(handle).id, handle, site))
-                    }
-                }));
+                group.extend(
+                    entries
+                        .iter()
+                        .filter(|&&(slot, _)| !regs[slot as usize].is_null())
+                        .map(|&(slot, site)| (regs[slot as usize].0, slot, site)),
+                );
                 group.sort_by_key(|&(id, _, _)| id);
-                for &(_, handle, site) in group.iter() {
-                    acquire_handle(interp, cs, site, handle, regs, phi, st)?;
+                for &(_, slot, site) in group.iter() {
+                    acquire_site(interp, cs, site, slot, regs, cache, phi, st)?;
                 }
             }
             LowOp::AcquireBatch { start, len } => {
@@ -648,37 +667,6 @@ fn acquire_site(
                 return Ok(());
             }
             let adt = resolve_cached(&interp.env, cache, regs, recv).clone();
-            acquire_semantic_site(interp, cs, site, adt, regs, phi, st)
-        }
-    }
-}
-
-/// Acquire a lock site on a handle outside the slot cache (group locking,
-/// where the sort already resolved ids).
-fn acquire_handle(
-    interp: &Interp,
-    cs: &CompiledSection,
-    site: u16,
-    handle: Value,
-    regs: &[Value],
-    phi: &mut [Option<PhiCache>],
-    st: &mut RunState,
-) -> Result<(), LockError> {
-    match interp.strategy {
-        Strategy::Global => Ok(()),
-        Strategy::TwoPhase => {
-            let adt = interp.env.resolve(handle);
-            if !st.held_plain.iter().any(|a| a.id == adt.id) {
-                adt.plain.lock();
-                st.held_plain.push(adt);
-            }
-            Ok(())
-        }
-        Strategy::Semantic => {
-            if st.held_sem.iter().any(|(a, _, _)| a.id == handle.0) {
-                return Ok(());
-            }
-            let adt = interp.env.resolve(handle);
             acquire_semantic_site(interp, cs, site, adt, regs, phi, st)
         }
     }

@@ -22,7 +22,7 @@
 //! the transaction had already mutated — mirroring the abort policy of the
 //! `semlock` runtime (aborts are clean only *before* the first mutation).
 //! [`Interp::with_lock_timeout`] switches semantic acquisitions to the
-//! bounded, watchdog-armed [`semlock::manager::SemLock::lock_deadline`]
+//! bounded, watchdog-armed [`semlock::manager::SemLock::acquire_as`]
 //! path, and [`Interp::try_run`] surfaces acquisition failures as
 //! [`LockError`] instead of panicking. [`Interp::with_faults`] threads a
 //! deterministic [`FaultPlan`] through every lock / unlock / operation
@@ -102,13 +102,18 @@ pub type Frame = HashMap<String, Value>;
 /// plus the retry trajectory that produced it (replay evidence for the
 /// determinism tests, throughput accounting for the server harness).
 ///
+/// A request that completes on its first try allocates nothing for this
+/// record: the frame is the compiled engine's dense [`CompiledFrame`],
+/// `backoffs` stays empty and `txns` holds its one id inline.
+///
 /// `#[non_exhaustive]`: future retry runtimes may report more (e.g.
 /// per-attempt wait breakdowns).
 #[derive(Debug)]
 #[non_exhaustive]
 pub struct RetryRun {
-    /// The completed attempt's final variable frame.
-    pub frame: Frame,
+    /// The completed attempt's final variable frame (the tree-walk engine
+    /// converts its [`Frame`] into this form).
+    pub frame: CompiledFrame,
     /// Total attempts, including the one that succeeded (1 = first try).
     pub attempts: u32,
     /// Did the transaction age into the escalated pessimistic path?
@@ -118,7 +123,60 @@ pub struct RetryRun {
     pub backoffs: Vec<Duration>,
     /// The transaction id of every attempt, in order. Deterministic under
     /// [`Interp::with_txn_ids`].
-    pub txns: Vec<u64>,
+    pub txns: TxnIds,
+}
+
+/// The transaction ids of a retry trajectory, in attempt order. Derefs to
+/// `[u64]`. A single id is stored inline, so a first-try completion does
+/// not allocate; a second attempt moves the ids to the heap.
+#[derive(Clone, Default)]
+pub struct TxnIds(TxnIdsRepr);
+
+#[derive(Clone, Default)]
+enum TxnIdsRepr {
+    #[default]
+    Empty,
+    One([u64; 1]),
+    Many(Vec<u64>),
+}
+
+impl TxnIds {
+    fn push(&mut self, txn: u64) {
+        self.0 = match std::mem::take(&mut self.0) {
+            TxnIdsRepr::Empty => TxnIdsRepr::One([txn]),
+            TxnIdsRepr::One([first]) => TxnIdsRepr::Many(vec![first, txn]),
+            TxnIdsRepr::Many(mut ids) => {
+                ids.push(txn);
+                TxnIdsRepr::Many(ids)
+            }
+        };
+    }
+}
+
+impl std::ops::Deref for TxnIds {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match &self.0 {
+            TxnIdsRepr::Empty => &[],
+            TxnIdsRepr::One(id) => id,
+            TxnIdsRepr::Many(ids) => ids,
+        }
+    }
+}
+
+impl PartialEq for TxnIds {
+    fn eq(&self, other: &TxnIds) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for TxnIds {}
+
+impl std::fmt::Debug for TxnIds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 pub(crate) struct RunState {
@@ -263,10 +321,11 @@ impl Interp {
         self
     }
 
-    /// Bound every semantic acquisition: waits use
-    /// [`semlock::manager::SemLock::lock_deadline`] with `now + timeout`,
-    /// arming the deadlock watchdog, and failures surface as [`LockError`]
-    /// through [`Interp::try_run`].
+    /// Bound every semantic acquisition: a refused admission waits up to
+    /// `timeout` (a [`semlock::acquire::WaitBudget::For`] budget) with the
+    /// deadlock watchdog armed, and failures surface as [`LockError`]
+    /// through [`Interp::try_run`]. An admissible mode is taken at once,
+    /// without reading the clock.
     pub fn with_lock_timeout(mut self, timeout: Duration) -> Interp {
         self.lock_timeout = Some(timeout);
         self
@@ -293,6 +352,7 @@ impl Interp {
     /// are poisoned first) and the error is returned.
     pub fn try_run(&self, section_name: &str, args: &[(&str, Value)]) -> Result<Frame, LockError> {
         self.try_run_as(section_name, args, self.next_txn(), None)
+            .map(CompiledFrame::into_frame)
     }
 
     /// [`Interp::try_run`] with an explicit transaction id and optional
@@ -307,11 +367,10 @@ impl Interp {
         args: &[(&str, Value)],
         txn: u64,
         escalate: Option<Duration>,
-    ) -> Result<Frame, LockError> {
+    ) -> Result<CompiledFrame, LockError> {
         if self.engine == Engine::Compiled {
             if let Some(cs) = self.compiled_section(section_name) {
-                return compile::run_compiled_as(self, cs, args, txn, escalate)
-                    .map(CompiledFrame::into_frame);
+                return compile::run_compiled_as(self, cs, args, txn, escalate);
             }
         }
         let program = self.env.program.clone();
@@ -321,6 +380,7 @@ impl Interp {
             .find(|s| s.name == section_name)
             .unwrap_or_else(|| panic!("no section named {section_name}"));
         self.try_run_section_as(section, args, txn, escalate)
+            .map(CompiledFrame::from_frame)
     }
 
     /// Run a compiled section, returning its dense [`CompiledFrame`]
@@ -382,7 +442,7 @@ impl Interp {
     ) -> Result<RetryRun, LockError> {
         let mut st = RetryState::new();
         let mut backoffs = Vec::new();
-        let mut txns = Vec::new();
+        let mut txns = TxnIds::default();
         let mut escalation_counted = false;
         loop {
             let txn = self.next_txn();
@@ -807,14 +867,19 @@ impl Interp {
         // policy's far larger patience — still a bounded, watchdog-armed
         // wait, so cycle detection stays live while the elder waits out
         // its competitors.
+        //
+        // The spec carries a relative budget and the held set is passed as
+        // a closure: `SemLock` tries admission first, so an uncontended
+        // acquisition reads no clock and builds no watchdog snapshot.
         if let Some(timeout) = st.escalate_patience.or(self.lock_timeout) {
-            let held: Vec<(u64, ModeId)> = st
-                .held_sem
-                .iter()
-                .map(|(a, m, _)| (a.sem().unique(), *m))
-                .collect();
             let spec = AcquireSpec::new(mode).timeout(timeout);
-            adt.sem().acquire_as(&spec, st.txn, &held)?;
+            let held_sem = &st.held_sem;
+            adt.sem().acquire_as(&spec, st.txn, &|| {
+                held_sem
+                    .iter()
+                    .map(|(a, m, _)| (a.sem().unique(), *m))
+                    .collect()
+            })?;
         } else {
             adt.sem().acquire(&AcquireSpec::new(mode))?;
         }

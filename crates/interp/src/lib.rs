@@ -16,4 +16,4 @@ pub mod exec;
 pub use baselines::BinaryLock;
 pub use compile::{CompiledFrame, CompiledSection};
 pub use env::{Env, Registry, SharedAdt};
-pub use exec::{Engine, Frame, Interp, RetryRun, Strategy};
+pub use exec::{Engine, Frame, Interp, RetryRun, Strategy, TxnIds};

@@ -7,8 +7,8 @@
 //! [`AcquireSpec`] names those axes explicitly:
 //!
 //! * **mode** — the locking mode to take (always required);
-//! * **wait budget** — wait forever, wait until a deadline, or don't wait
-//!   at all ([`WaitBudget`]);
+//! * **wait budget** — wait forever, wait until a deadline, wait a
+//!   relative budget, or don't wait at all ([`WaitBudget`]);
 //! * **watchdog** — whether a *bounded* wait registers with the deadlock
 //!   watchdog while parked. Unbounded waits never register (exactly as
 //!   `lv` never did): with no deadline there is no probe slice to register
@@ -43,6 +43,11 @@ pub enum WaitBudget {
     /// Wait until the given instant, then give up with
     /// [`crate::error::LockError::Timeout`].
     Until(Instant),
+    /// Wait up to this long, then give up with
+    /// [`crate::error::LockError::Timeout`]. The budget starts when the
+    /// acquisition first finds its mode conflicted: an admission that
+    /// succeeds at once never reads the clock.
+    For(Duration),
     /// Never wait: a conflicted admission fails immediately with a
     /// zero-wait [`crate::error::LockError::Timeout`] (`try_lv`).
     DontWait,
@@ -82,9 +87,12 @@ impl AcquireSpec {
         self
     }
 
-    /// Bound the wait by a duration from now.
-    pub fn timeout(self, timeout: Duration) -> AcquireSpec {
-        self.deadline(Instant::now() + timeout)
+    /// Bound the wait by a relative budget ([`WaitBudget::For`]). The
+    /// runtime resolves it to a deadline only if admission is refused, so
+    /// building the spec reads no clock.
+    pub fn timeout(mut self, timeout: Duration) -> AcquireSpec {
+        self.wait = WaitBudget::For(timeout);
+        self
     }
 
     /// Refuse to wait at all (`try_lv`).
@@ -121,8 +129,8 @@ mod tests {
         let s = AcquireSpec::new(m).no_wait();
         assert_eq!(s.wait, WaitBudget::DontWait);
 
-        // timeout() is deadline() with a relative budget.
+        // timeout() keeps the budget relative; no deadline is fixed yet.
         let s = AcquireSpec::new(m).timeout(Duration::from_millis(10));
-        assert!(matches!(s.wait, WaitBudget::Until(_)));
+        assert_eq!(s.wait, WaitBudget::For(Duration::from_millis(10)));
     }
 }

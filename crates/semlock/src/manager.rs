@@ -50,6 +50,15 @@ enum PoisonStage {
     AfterWait,
 }
 
+/// Outcome of a traced non-blocking admission attempt
+/// ([`SemLock::probe_traced`]).
+enum Probe<'a> {
+    /// Admitted, or rejected for poison; every event is recorded.
+    Done(Result<(), LockError>),
+    /// Refused by a conflicting hold; no terminal event is recorded yet.
+    Refused(&'a ModePlacement),
+}
+
 /// The semantic lock of one ADT instance.
 pub struct SemLock {
     table: Arc<ModeTable>,
@@ -240,30 +249,35 @@ impl SemLock {
         match spec.wait {
             WaitBudget::Forever => self.lock_checked(spec.mode),
             WaitBudget::DontWait => self.try_lock_checked(spec.mode),
-            WaitBudget::Until(deadline) => self.lock_deadline_impl(
+            wait => self.lock_bounded(
                 spec.mode,
-                deadline,
+                wait,
                 crate::txn::next_txn_id(),
-                &[],
+                &Vec::new,
                 spec.watchdog,
             ),
         }
     }
 
-    /// [`SemLock::acquire`] on behalf of transaction `txn` already holding
-    /// `held` — the watchdog-aware form [`crate::txn::Txn::acquire`] uses.
+    /// [`SemLock::acquire`] on behalf of transaction `txn` — the
+    /// watchdog-aware form [`crate::txn::Txn::acquire`] and the
+    /// interpreter use.
+    ///
+    /// `held` yields the `(instance id, mode)` pairs `txn` already holds,
+    /// for the watchdog's waits-for edges. It is called at most once, and
+    /// only by a bounded acquisition that has already waited one probe
+    /// slice, so callers pass a closure over their held set instead of a
+    /// snapshot: an admission that succeeds at once builds nothing.
     pub fn acquire_as(
         &self,
         spec: &AcquireSpec,
         txn: TxnId,
-        held: &[(u64, ModeId)],
+        held: &dyn Fn() -> Vec<(u64, ModeId)>,
     ) -> Result<(), LockError> {
         match spec.wait {
             WaitBudget::Forever => self.lock_checked(spec.mode),
             WaitBudget::DontWait => self.try_lock_checked(spec.mode),
-            WaitBudget::Until(deadline) => {
-                self.lock_deadline_impl(spec.mode, deadline, txn, held, spec.watchdog)
-            }
+            wait => self.lock_bounded(spec.mode, wait, txn, held, spec.watchdog),
         }
     }
 
@@ -330,8 +344,28 @@ impl SemLock {
     fn try_lock_checked_traced(&self, mode: ModeId) -> Result<(), LockError> {
         let ctx = telemetry::take_context();
         let t0 = telemetry::now_ns();
+        match self.probe_traced(mode, ctx, t0) {
+            Probe::Done(r) => r,
+            Probe::Refused(_) => {
+                self.tele(t0, EventKind::Timeout, WaitCause::Conflict, ctx, mode, 0);
+                Err(LockError::Timeout {
+                    instance: self.id,
+                    mode,
+                    waited: Duration::ZERO,
+                })
+            }
+        }
+    }
+
+    /// The traced non-blocking admission attempt shared by
+    /// [`SemLock::try_lock_checked`] and the bounded path: records the
+    /// `AcquireStart` and every terminal except a refusal, which it
+    /// leaves to the caller (a zero-wait `Timeout` for a try, the outcome
+    /// of the wait for a bounded acquisition). A refusal also samples the
+    /// conflicting holders once (`Blocked` events).
+    fn probe_traced(&self, mode: ModeId, ctx: (u64, u32), t0: u64) -> Probe<'_> {
         self.tele(t0, EventKind::AcquireStart, WaitCause::None, ctx, mode, 0);
-        if self.is_poisoned() {
+        let poisoned = || {
             self.tele(
                 t0,
                 EventKind::PoisonRejected,
@@ -340,37 +374,26 @@ impl SemLock {
                 mode,
                 0,
             );
-            return Err(LockError::Poisoned { instance: self.id });
+            Probe::Done(Err(LockError::Poisoned { instance: self.id }))
+        };
+        if self.is_poisoned() {
+            return poisoned();
         }
         let p = self.table.placement(mode);
         if p.free {
             self.tele(t0, EventKind::Admit, WaitCause::Uncontended, ctx, mode, 0);
-            return Ok(());
+            return Probe::Done(Ok(()));
         }
         if self.mechs[p.part as usize].try_lock(p.local, p.conflicts()) {
             if self.is_poisoned() {
                 let _ = self.mechs[p.part as usize].unlock(p.local);
-                self.tele(
-                    t0,
-                    EventKind::PoisonRejected,
-                    WaitCause::Poison,
-                    ctx,
-                    mode,
-                    0,
-                );
-                return Err(LockError::Poisoned { instance: self.id });
+                return poisoned();
             }
             self.tele(t0, EventKind::Admit, WaitCause::Uncontended, ctx, mode, 0);
-            Ok(())
-        } else {
-            self.tele_sample_conflicts(t0, ctx, mode, p);
-            self.tele(t0, EventKind::Timeout, WaitCause::Conflict, ctx, mode, 0);
-            Err(LockError::Timeout {
-                instance: self.id,
-                mode,
-                waited: std::time::Duration::ZERO,
-            })
+            return Probe::Done(Ok(()));
         }
+        self.tele_sample_conflicts(t0, ctx, mode, p);
+        Probe::Refused(p)
     }
 
     /// All-or-nothing batched admission of several modes on this
@@ -483,56 +506,119 @@ impl SemLock {
         txn: TxnId,
         held: &[(u64, ModeId)],
     ) -> Result<(), LockError> {
-        self.lock_deadline_impl(mode, deadline, txn, held, true)
+        self.lock_bounded(
+            mode,
+            WaitBudget::Until(deadline),
+            txn,
+            &|| held.to_vec(),
+            true,
+        )
     }
 
-    /// [`SemLock::lock_deadline`] with the watchdog participation made
-    /// explicit ([`AcquireSpec::no_watchdog`]): with `watchdog` false the
-    /// wait still times out at its deadline but never registers in the
-    /// waits-for graph, so it can neither sight a cycle nor be aborted as
-    /// one's victim.
-    fn lock_deadline_impl(
+    /// The one bounded-acquisition path ([`WaitBudget::Until`] and
+    /// [`WaitBudget::For`]), shared by [`SemLock::acquire_as`] (so by
+    /// [`crate::txn::Txn::acquire`] and the interpreter) and
+    /// [`SemLock::lock_deadline`].
+    ///
+    /// It first tries non-blocking admission, with the poison check
+    /// before and after, exactly as [`SemLock::try_lock_checked`]. An
+    /// admissible mode therefore costs no clock read, no `held` snapshot
+    /// and no watchdog traffic. Only a refused try pays for resolving the
+    /// deadline and for the parked wait ([`SemLock::wait_bounded`]); the
+    /// try and the wait are one acquisition to telemetry.
+    ///
+    /// With `watchdog` false the wait still times out at its deadline but
+    /// never registers in the waits-for graph, so it can neither sight a
+    /// cycle nor be aborted as one's victim ([`AcquireSpec::no_watchdog`]).
+    #[inline]
+    fn lock_bounded(
         &self,
         mode: ModeId,
-        deadline: Instant,
+        wait: WaitBudget,
         txn: TxnId,
-        held: &[(u64, ModeId)],
+        held: &dyn Fn() -> Vec<(u64, ModeId)>,
         watchdog: bool,
     ) -> Result<(), LockError> {
-        let tel = telemetry::enabled();
-        let mut ctx = (txn, telemetry::SITE_NONE);
-        // One clock read serves the entry event, the no-wait outcomes, and
-        // the wait origin; blocked outcomes pay exactly one more read that
-        // stamps the outcome event and supplies both the event's `wait_ns`
-        // and the error's `waited`.
-        let t0 = telemetry::now_ns();
-        if tel {
-            // The caller's txn parameter is authoritative; only the pending
-            // site comes from the thread-local context.
-            ctx.1 = telemetry::take_context().1;
-            self.tele(t0, EventKind::AcquireStart, WaitCause::None, ctx, mode, 0);
+        if telemetry::enabled() {
+            return self.lock_bounded_traced(mode, wait, txn, held, watchdog);
         }
-        if self.is_poisoned() {
-            if tel {
-                self.tele(
-                    t0,
-                    EventKind::PoisonRejected,
-                    WaitCause::Poison,
-                    ctx,
-                    mode,
-                    0,
-                );
-            }
-            return Err(LockError::Poisoned { instance: self.id });
+        match self.try_lock_checked(mode) {
+            Err(LockError::Timeout { .. }) => {}
+            done => return done,
         }
         let p = self.table.placement(mode);
-        if p.free {
-            if tel {
-                self.tele(t0, EventKind::Admit, WaitCause::Uncontended, ctx, mode, 0);
+        self.wait_bounded(mode, p, wait, txn, held, watchdog, None)
+    }
+
+    /// [`SemLock::lock_bounded`] with telemetry recording: one
+    /// `AcquireStart`, `Blocked` samples at most once (when the try is
+    /// refused), and one terminal event for the whole acquisition.
+    #[cold]
+    fn lock_bounded_traced(
+        &self,
+        mode: ModeId,
+        wait: WaitBudget,
+        txn: TxnId,
+        held: &dyn Fn() -> Vec<(u64, ModeId)>,
+        watchdog: bool,
+    ) -> Result<(), LockError> {
+        // The caller's txn parameter is authoritative; only the pending
+        // site comes from the thread-local context.
+        let ctx = (txn, telemetry::take_context().1);
+        let t0 = telemetry::now_ns();
+        match self.probe_traced(mode, ctx, t0) {
+            Probe::Done(r) => r,
+            Probe::Refused(p) => {
+                self.wait_bounded(mode, p, wait, txn, held, watchdog, Some((ctx, t0)))
             }
-            return Ok(());
         }
-        let contended_entry = tel && self.tele_sample_conflicts(t0, ctx, mode, p);
+    }
+
+    /// The slow half of a bounded acquisition, after its try was refused:
+    /// resolve the deadline, park on the partition's mechanism with the
+    /// watchdog probe, and report the outcome. `trace` carries the
+    /// telemetry context and the acquisition's start time when telemetry
+    /// is on; its `AcquireStart` and `Blocked` events are already
+    /// recorded.
+    ///
+    /// Clock discipline: one read fixes the wait origin (the start time
+    /// of a traced acquisition is reused instead), one more resolves a
+    /// [`WaitBudget::For`] deadline, and a timed-out or traced outcome
+    /// pays one read that stamps the event and supplies both its
+    /// `wait_ns` and the error's `waited`.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn wait_bounded(
+        &self,
+        mode: ModeId,
+        p: &ModePlacement,
+        wait: WaitBudget,
+        txn: TxnId,
+        held: &dyn Fn() -> Vec<(u64, ModeId)>,
+        watchdog: bool,
+        trace: Option<((u64, u32), u64)>,
+    ) -> Result<(), LockError> {
+        let t0 = trace.map_or_else(telemetry::now_ns, |(_, t0)| t0);
+        // Read after `t0`, so a `For` timeout's `waited` is at least the
+        // budget.
+        let deadline = match wait {
+            WaitBudget::Until(deadline) => deadline,
+            WaitBudget::For(budget) => Instant::now() + budget,
+            WaitBudget::Forever | WaitBudget::DontWait => {
+                unreachable!("wait_bounded serves bounded budgets only")
+            }
+        };
+        let site = trace.map_or(telemetry::SITE_NONE, |(ctx, _)| ctx.1);
+        // One clock read per outcome: it stamps the event (if traced) and
+        // measures the wait.
+        let stamp = |kind: EventKind, cause: WaitCause| {
+            let t1 = telemetry::now_ns();
+            if let Some((ctx, _)) = trace {
+                self.tele(t1, kind, cause, ctx, mode, delta_ns(t0, t1));
+            }
+            delta_ns(t0, t1)
+        };
         let wd = watchdog::global();
         let mut registered = false;
         let mut pending: Option<Vec<TxnId>> = None;
@@ -546,7 +632,7 @@ impl SemLock {
                     return Wait::Continue;
                 }
                 if !registered {
-                    wd.register(txn, self.id, mode, self.table.clone(), held.to_vec());
+                    wd.register(txn, self.id, mode, self.table.clone(), held());
                     registered = true;
                     return Wait::Continue;
                 }
@@ -575,49 +661,18 @@ impl SemLock {
                 // instance (panic mid-operation) while we were blocked.
                 if self.is_poisoned() {
                     let _ = self.mechs[p.part as usize].unlock(p.local);
-                    if tel {
-                        let t1 = telemetry::now_ns();
-                        self.tele(
-                            t1,
-                            EventKind::PoisonRejected,
-                            WaitCause::Poison,
-                            ctx,
-                            mode,
-                            delta_ns(t0, t1),
-                        );
+                    if trace.is_some() {
+                        stamp(EventKind::PoisonRejected, WaitCause::Poison);
                     }
                     return Err(LockError::Poisoned { instance: self.id });
                 }
-                if tel {
-                    if contended_entry || registered {
-                        let t1 = telemetry::now_ns();
-                        self.tele(
-                            t1,
-                            EventKind::Admit,
-                            WaitCause::Conflict,
-                            ctx,
-                            mode,
-                            delta_ns(t0, t1),
-                        );
-                    } else {
-                        self.tele(t0, EventKind::Admit, WaitCause::Uncontended, ctx, mode, 0);
-                    }
+                if trace.is_some() {
+                    stamp(EventKind::Admit, WaitCause::Conflict);
                 }
                 Ok(())
             }
             Acquire::TimedOut => {
-                let t1 = telemetry::now_ns();
-                let waited = delta_ns(t0, t1);
-                if tel {
-                    self.tele(
-                        t1,
-                        EventKind::Timeout,
-                        WaitCause::Conflict,
-                        ctx,
-                        mode,
-                        waited,
-                    );
-                }
+                let waited = stamp(EventKind::Timeout, WaitCause::Conflict);
                 Err(LockError::Timeout {
                     instance: self.id,
                     mode,
@@ -625,17 +680,9 @@ impl SemLock {
                 })
             }
             Acquire::Abandoned => {
-                wd.note_deadlock(txn, self.id, mode, ctx.1, &abort_cycle);
-                if tel {
-                    let t1 = telemetry::now_ns();
-                    self.tele(
-                        t1,
-                        EventKind::CycleAborted,
-                        WaitCause::Deadlock,
-                        ctx,
-                        mode,
-                        delta_ns(t0, t1),
-                    );
+                wd.note_deadlock(txn, self.id, mode, site, &abort_cycle);
+                if trace.is_some() {
+                    stamp(EventKind::CycleAborted, WaitCause::Deadlock);
                 }
                 Err(LockError::WouldDeadlock {
                     instance: self.id,

@@ -90,23 +90,14 @@ impl<'a> Txn<'a> {
         match spec.wait {
             WaitBudget::Forever => adt.lock_checked(spec.mode)?,
             WaitBudget::DontWait => adt.try_lock_checked(spec.mode)?,
-            WaitBudget::Until(_) => {
-                // Uncontended fast path: admissible right now means no
-                // snapshot allocation, no deadline bookkeeping, no
-                // watchdog involvement.
-                if adt.try_lock_checked(spec.mode).is_err() {
-                    // The fast path consumed the pending site; re-stamp it
-                    // so the bounded acquisition's events carry the same
-                    // attribution.
-                    if site != telemetry::SITE_NONE {
-                        telemetry::set_site(site);
-                    }
-                    // Snapshot of current holds for the watchdog's
-                    // waits-for edges.
-                    let held: Vec<(u64, ModeId)> =
-                        self.held.iter().map(|&(l, m, _)| (l.unique(), m)).collect();
-                    adt.acquire_as(spec, self.id, &held)?;
-                }
+            // Bounded specs try admission first inside `SemLock`; the held
+            // snapshot for the watchdog's waits-for edges is only built if
+            // the wait outlasts a probe slice.
+            _ => {
+                let held = &self.held;
+                adt.acquire_as(spec, self.id, &|| {
+                    held.iter().map(|&(l, m, _)| (l.unique(), m)).collect()
+                })?
             }
         }
         self.held.push((adt, spec.mode, site));

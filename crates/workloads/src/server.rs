@@ -591,6 +591,12 @@ mod tests {
         cfg.threads = 8;
         cfg.requests = 1_500;
         cfg.admission_cap = Some(1);
+        // Every request sleeps at its fault boundaries while it holds the
+        // only permit, so other workers arrive during the hold however
+        // fast the host serves requests. Without it a fast build can
+        // finish all 1,500 requests inside one scheduler time slice on a
+        // small host and never run two workers at once.
+        cfg.delay_ppm = 1_000_000;
         cfg.arrival_rate = 1e9; // everyone arrives at once
         let r = run_server(&cfg).unwrap();
         assert!(r.settled(), "{r:?}");

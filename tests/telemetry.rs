@@ -405,3 +405,131 @@ fn disabled_flag_records_nothing() {
     assert!(events.is_empty());
     assert_eq!(dropped, 0);
 }
+
+/// Per-site counts of one `(site, mode)` after a contended, bounded
+/// acquisition that waited out a holder at the same site: the holder's
+/// acquisition plus this one (`acquires 2`), no timeout, one contended
+/// terminal, and the conflicting hold sampled once. The non-blocking try
+/// that precedes every bounded wait is part of the same acquisition, not
+/// a zero-wait `Timeout` of its own.
+fn assert_one_contended_wait(events: &[telemetry::Event], site: u32, mode: u32, what: &str) {
+    telemetry::check_balanced(events).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let m = telemetry::Metrics::from_events(events, Vec::new(), 0);
+    let s = &m.per_site[&(site, mode)];
+    assert_eq!(
+        (s.acquires, s.timeouts, s.contended),
+        (2, 0, 1),
+        "{what}: acquires / timeouts / contended"
+    );
+    assert_eq!(s.admits, 2, "{what}");
+    assert_eq!(
+        m.conflict_pairs.values().sum::<u64>(),
+        1,
+        "{what}: conflict pairs {:?}",
+        m.conflict_pairs
+    );
+}
+
+/// Hold `mode` on `lock` at `site` from another thread until `waiter`'s
+/// acquisition has been refused (its `Blocked` sample is recorded), then
+/// release it; returns what `waiter` returned. Telemetry must be on.
+fn wait_out_holder<R: Send>(
+    lock: &SemLock,
+    mode: semlock::mode::ModeId,
+    site: u32,
+    waiter: impl FnOnce() -> R + Send,
+) -> R {
+    let held = Barrier::new(2);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut txn = Txn::new();
+            telemetry::set_site(site);
+            txn.lv(lock, mode);
+            held.wait();
+            let start = std::time::Instant::now();
+            while !telemetry::snapshot()
+                .0
+                .iter()
+                .any(|e| e.kind == EventKind::Blocked)
+            {
+                assert!(
+                    start.elapsed() < Duration::from_secs(5),
+                    "the waiter never blocked"
+                );
+                std::thread::yield_now();
+            }
+        });
+        held.wait();
+        waiter()
+    })
+}
+
+#[test]
+fn contended_bounded_txn_acquire_counts_once() {
+    const SITE: u32 = 0x5EED;
+    let _g = guard();
+    let (table, site) = cia_table(8);
+    let mode = table.select(site, &[Value(7)]); // self-conflicting
+    let lock = SemLock::new(table);
+    telemetry::reset();
+    telemetry::enable();
+    wait_out_holder(&lock, mode, SITE, || {
+        let mut txn = Txn::new();
+        telemetry::set_site(SITE);
+        txn.lv_timeout(&lock, mode, Duration::from_secs(10))
+            .expect("admitted once the holder leaves");
+    });
+    telemetry::disable();
+    let (events, dropped) = telemetry::snapshot();
+    telemetry::reset();
+    assert_eq!(dropped, 0);
+    assert_one_contended_wait(&events, SITE, mode.0, "Txn::acquire");
+}
+
+#[test]
+fn contended_bounded_interp_acquire_counts_once() {
+    use interp::{Engine, Env, Interp, Strategy};
+    use synth::ir::{e::*, ptr, scalar, AtomicSection, Body};
+    use synth::{ClassRegistry, Synthesizer};
+
+    let _g = guard();
+    let mut registry = ClassRegistry::new();
+    registry.register("Map", adts::schema_of("Map"), adts::spec_of("Map"));
+    let section = AtomicSection::new(
+        "bump",
+        [ptr("map", "Map"), scalar("k")],
+        Body::new()
+            .call("map", "put", vec![var("k"), konst(1)])
+            .build(),
+    );
+    let program = Arc::new(
+        Synthesizer::new(registry)
+            .phi(Phi::fib(16))
+            .synthesize(&[section]),
+    );
+    let site = program.sections[0].sites[0].stable_id;
+    let mode = program
+        .tables
+        .table("Map")
+        .select(program.tables.site("bump", 0), &[Value(3)]);
+    for engine in [Engine::TreeWalk, Engine::Compiled] {
+        let env = Arc::new(Env::new(program.clone()));
+        let map = env.new_instance("Map");
+        let adt = env.resolve(map);
+        let interp = Interp::new(env.clone(), Strategy::Semantic)
+            .with_engine(engine)
+            .with_lock_timeout(Duration::from_secs(10));
+        telemetry::reset();
+        telemetry::enable();
+        wait_out_holder(adt.sem(), mode, site, || {
+            interp
+                .try_run("bump", &[("map", map), ("k", Value(3))])
+                .expect("admitted once the holder leaves");
+        });
+        telemetry::disable();
+        let (events, dropped) = telemetry::snapshot();
+        telemetry::reset();
+        assert_eq!(dropped, 0);
+        assert_one_contended_wait(&events, site, mode.0, &format!("{engine:?}"));
+    }
+}
